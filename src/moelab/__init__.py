@@ -3,7 +3,7 @@
 Token-choice routing, dense and weight-decomposed experts, sequence-level load
 balancing, the block-wise expert selection loss, and an expert-offload replay
 simulator with an analytic latency/memory model, all on a small numpy autodiff
-core with numba-accelerated hot kernels.
+core with vectorized numpy hot kernels.
 """
 
 from .config import ModelConfig

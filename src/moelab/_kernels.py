@@ -1,29 +1,16 @@
-"""Hot inner-loop kernels with numba-jitted and pure-numpy implementations.
+"""Hot inner-loop kernels: scatter-adds, selection-trace counting and top-k.
 
-Every kernel exists twice: a ``*_np`` numpy fallback and (when numba is
-importable) a jitted version compiled from the same loop nest. The module-level
-names (``index_add_rows``, ``transition_count``, ...) point at whichever path
-is active. Set ``MOELAB_DISABLE_NUMBA=1`` to force the numpy fallback, e.g. to
-sidestep JIT warmup in short-lived processes. ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+Callers look each kernel up as ``_kernels.<name>`` at call time, so a kernel
+can be swapped for an instrumented or faster version by rebinding the module
+attribute.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("MOELAB_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _DISABLE
+# Kept for run manifests that record the kernel backend; numpy is the only one.
+USE_NUMBA = False
 
 
 def _as_int64(a):
@@ -37,18 +24,18 @@ def _as_int64(a):
 # scatter-add: backward pass of row gathers and embedding lookups
 
 
-def index_add_rows_np(out, idx, rows):
+def index_add_rows(out, idx, rows):
     """out[idx[m]] += rows[m] for every m. np.add.at handles repeated indices."""
     np.add.at(out, idx, rows)
 
 
-def scatter_add_lastdim_np(out, idx, vals):
+def scatter_add_lastdim(out, idx, vals):
     """out[r, idx[r, k]] += vals[r, k]; out is (R, E), idx/vals are (R, K)."""
     rows = np.arange(out.shape[0])[:, None]
     np.add.at(out, (rows, idx), vals)
 
 
-def scatter_add_pairs_np(out, row_idx, col_idx, vals):
+def scatter_add_pairs(out, row_idx, col_idx, vals):
     """out[row_idx[m], col_idx[m]] += vals[m]."""
     np.add.at(out, (row_idx, col_idx), vals)
 
@@ -57,7 +44,7 @@ def scatter_add_pairs_np(out, row_idx, col_idx, vals):
 # selection-trace counting
 
 
-def transition_count_np(sel, num_experts):
+def transition_count(sel, num_experts):
     """Double-counted expert transitions in a selection tensor.
 
     ``sel`` is (B, T, K) integer expert ids. Builds the K-hot activation
@@ -75,7 +62,7 @@ def transition_count_np(sel, num_experts):
     return int(np.abs(hot[:, 1:] - hot[:, :-1]).sum())
 
 
-def swap_in_counts_np(sel, num_experts):
+def swap_in_counts(sel, num_experts):
     """Per-token count of experts swapped in relative to the previous token.
 
     ``sel`` is (L, T, K) for L layers. Returns (L, T) int64 where entry
@@ -94,7 +81,7 @@ def swap_in_counts_np(sel, num_experts):
     return counts
 
 
-def usage_counts_np(sel, num_experts):
+def usage_counts(sel, num_experts):
     """Per-sequence expert assignment counts: (B, T, K) ids -> (B, E) counts."""
     sel = _as_int64(sel)
     b = sel.shape[0]
@@ -102,7 +89,7 @@ def usage_counts_np(sel, num_experts):
     return np.bincount(flat.ravel(), minlength=b * num_experts).reshape(b, num_experts)
 
 
-def topk_lastdim_np(w, k):
+def topk_lastdim(w, k):
     """Indices of the k largest entries per row, ties broken by lowest index.
 
     Stable argsort of the negated weights gives exactly lowest-index-wins
@@ -110,114 +97,3 @@ def topk_lastdim_np(w, k):
     order.
     """
     return np.argsort(-w, axis=-1, kind="stable")[:, :k].astype(np.int64)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def index_add_rows_nb(out, idx, rows):
-        for m in range(idx.shape[0]):
-            r = idx[m]
-            for d in range(rows.shape[1]):
-                out[r, d] += rows[m, d]
-
-    @njit(cache=True)
-    def scatter_add_lastdim_nb(out, idx, vals):
-        for r in range(idx.shape[0]):
-            for k in range(idx.shape[1]):
-                out[r, idx[r, k]] += vals[r, k]
-
-    @njit(cache=True)
-    def scatter_add_pairs_nb(out, row_idx, col_idx, vals):
-        for m in range(row_idx.shape[0]):
-            out[row_idx[m], col_idx[m]] += vals[m]
-
-    @njit(cache=True)
-    def _transition_count_nb(sel):
-        b, t, k = sel.shape
-        total = 0
-        for bi in range(b):
-            for ti in range(t - 1):
-                overlap = 0
-                for i in range(k):
-                    cur = sel[bi, ti + 1, i]
-                    for j in range(k):
-                        if sel[bi, ti, j] == cur:
-                            overlap += 1
-                            break
-                total += 2 * (k - overlap)
-        return total
-
-    def transition_count_nb(sel, num_experts):
-        return int(_transition_count_nb(_as_int64(sel)))
-
-    @njit(cache=True)
-    def _swap_in_counts_nb(sel):
-        l, t, k = sel.shape
-        counts = np.empty((l, t), dtype=np.int64)
-        for li in range(l):
-            counts[li, 0] = k
-            for ti in range(1, t):
-                new = 0
-                for i in range(k):
-                    cur = sel[li, ti, i]
-                    found = False
-                    for j in range(k):
-                        if sel[li, ti - 1, j] == cur:
-                            found = True
-                            break
-                    if not found:
-                        new += 1
-                counts[li, ti] = new
-        return counts
-
-    def swap_in_counts_nb(sel, num_experts):
-        return _swap_in_counts_nb(_as_int64(sel))
-
-    @njit(cache=True)
-    def _usage_counts_nb(sel, num_experts):
-        b = sel.shape[0]
-        counts = np.zeros((b, num_experts), dtype=np.int64)
-        for bi in range(b):
-            for ti in range(sel.shape[1]):
-                for ki in range(sel.shape[2]):
-                    counts[bi, sel[bi, ti, ki]] += 1
-        return counts
-
-    def usage_counts_nb(sel, num_experts):
-        return _usage_counts_nb(_as_int64(sel), num_experts)
-
-    @njit(cache=True)
-    def topk_lastdim_nb(w, k):
-        r, e = w.shape
-        out = np.empty((r, k), dtype=np.int64)
-        for ri in range(r):
-            taken = np.zeros(e, dtype=np.bool_)
-            for slot in range(k):
-                best = -1
-                best_val = -np.inf
-                for ei in range(e):
-                    if not taken[ei] and w[ri, ei] > best_val:
-                        best_val = w[ri, ei]
-                        best = ei
-                taken[best] = True
-                out[ri, slot] = best
-        return out
-
-
-if USE_NUMBA:
-    index_add_rows = index_add_rows_nb
-    scatter_add_lastdim = scatter_add_lastdim_nb
-    scatter_add_pairs = scatter_add_pairs_nb
-    transition_count = transition_count_nb
-    swap_in_counts = swap_in_counts_nb
-    usage_counts = usage_counts_nb
-    topk_lastdim = topk_lastdim_nb
-else:
-    index_add_rows = index_add_rows_np
-    scatter_add_lastdim = scatter_add_lastdim_np
-    scatter_add_pairs = scatter_add_pairs_np
-    transition_count = transition_count_np
-    swap_in_counts = swap_in_counts_np
-    usage_counts = usage_counts_np
-    topk_lastdim = topk_lastdim_np

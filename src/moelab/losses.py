@@ -1,5 +1,6 @@
-"""Training objective pieces: LM cross-entropy, sequence-level load balancing,
-and the block-wise expert selection (BlES) loss.
+"""Training objective pieces: sequence-level load balancing, the block-wise
+expert selection (BlES) loss, and the weighted total they form with the LM
+cross-entropy (``numerics.cross_entropy``).
 
 The BlES loss is the product of two terms computed over consecutive tokens:
 
@@ -151,13 +152,10 @@ def total_loss(ce, lb, bles, alpha_lb: float, lambda_bles: float):
     """Weighted objective ce + alpha_lb * lb + lambda_bles * bles.
 
     Works on floats and on Tensors (for training, where the gradient of the
-    total is the weighted sum of the component gradients).
+    total is the weighted sum of the component gradients). The two auxiliary
+    terms are summed first, then added to ce.
     """
     if alpha_lb < 0 or lambda_bles < 0:
         raise ValueError("loss coefficients must be non-negative")
-    return ce + alpha_lb * lb + lambda_bles * bles
+    return ce + (alpha_lb * lb + lambda_bles * bles)
 
-
-def lm_cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int | None = None) -> Tensor:
-    """Mean next-token cross-entropy, excluding padding positions."""
-    return nx.cross_entropy(logits, targets, pad_id=pad_id)

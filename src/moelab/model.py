@@ -10,7 +10,7 @@ state the experts consume.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,20 @@ class RoutingTrace:
     @property
     def k(self) -> int:
         return self.selections.shape[2]
+
+
+def _config_from_json(path, text: str) -> ModelConfig:
+    """ModelConfig from a checkpoint's JSON; an unknown key or a value of the
+    wrong JSON type (ints pass for floats) raises DataError."""
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: checkpoint config is not a JSON object")
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
+    for key, value in raw.items():
+        kind = kinds.get(key)
+        if kind is None or not (type(value) is kind or kind is float and type(value) is int):
+            raise DataError(f"{path}: bad checkpoint config entry {key}={value!r}")
+    return ModelConfig(**raw)
 
 
 def _normal(rng: np.random.Generator, shape, dtype: str, std: float = INIT_STD) -> Tensor:
@@ -217,21 +231,17 @@ class TransformerLM:
         logits = nx.matmul(x, self.lm_head)
         return logits, artifacts
 
-    def traces(
-        self, artifacts: list[LayerArtifacts], include_weights: bool = True
-    ) -> list[RoutingTrace]:
+    def traces(self, artifacts: list[LayerArtifacts]) -> list[RoutingTrace]:
         """One RoutingTrace per batch sequence, stacked over layers."""
         sel = np.stack([a[2].indices for a in artifacts], axis=0)  # (L, B, T, K)
-        w = None
-        if include_weights:
-            w = np.stack([a[1].values.data for a in artifacts], axis=0)
+        w = np.stack([a[1].values.data for a in artifacts], axis=0)
         out = []
         for bi in range(sel.shape[1]):
             out.append(
                 RoutingTrace(
                     selections=sel[:, bi],
                     num_experts=self.config.experts,
-                    weights=None if w is None else w[:, bi],
+                    weights=w[:, bi],
                 )
             )
         return out
@@ -296,7 +306,7 @@ class TransformerLM:
             with np.load(path, allow_pickle=False) as ckpt:
                 if "__magic__" not in ckpt or str(ckpt["__magic__"]) != CHECKPOINT_MAGIC:
                     raise DataError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-                config = ModelConfig(**json.loads(str(ckpt["__config__"])))
+                config = _config_from_json(path, str(ckpt["__config__"]))
                 model = cls(config, seed=0)
                 params = model.named_parameters()
                 for name, tensor in params.items():

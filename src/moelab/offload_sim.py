@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .config import ModelConfig
 from .errors import DataError
-from .experts import per_expert_param_count, shared_param_count
 from .losses import hard_replacements
 from .model import RoutingTrace
 
@@ -196,14 +194,6 @@ def delta_uniform_from_counts(
     return float(per_layer.mean()), per_layer
 
 
-def peak_memory(config: ModelConfig, offloaded: bool, bytes_per_param: float) -> int:
-    """Peak parameter bytes during generation, with or without expert offload."""
-    shared = shared_param_count(config) * bytes_per_param
-    expert = per_expert_param_count(config) * bytes_per_param
-    resident = config.active if offloaded else config.experts
-    return int(round(shared + config.layers * resident * expert))
-
-
 def calibrate_cost_model(
     tokens_per_sec_a: float,
     exrep_a_pct: float,
@@ -254,6 +244,9 @@ def synthetic_trace(
 ) -> RoutingTrace:
     """Construct a trace whose realized ExRep matches the target as closely as
     integer replacement counts allow (exact up to rounding of the event total).
+
+    Raises ValueError when some transition would need more replacements than
+    there are inactive experts to swap in.
     """
     if not 0 <= exrep_pct <= 100:
         raise ValueError(f"exrep_pct must be in [0, 100], got {exrep_pct}")
@@ -263,8 +256,12 @@ def synthetic_trace(
         raise ValueError("k cannot exceed the expert count")
     rng = np.random.default_rng(seed)
     events = int(round(exrep_pct / 100.0 * k * (tokens - 1)))
-    if events > 0 and num_experts == k:
-        raise ValueError("cannot realize replacements with all experts active")
+    per_transition = -(-events // (tokens - 1))
+    if per_transition > num_experts - k:
+        raise ValueError(
+            f"{exrep_pct}% ExRep needs {per_transition} replacements in one transition, "
+            f"but only {num_experts - k} experts are inactive"
+        )
     sel = np.empty((layers, tokens, k), dtype=np.int64)
     for l in range(layers):
         base, rem = divmod(events, tokens - 1)
@@ -351,10 +348,14 @@ def read_trace(path) -> RoutingTrace:
         if not isinstance(ids, list) or len(ids) != k:
             raise DataError(f"{path}: line {i}: expected {k} expert ids")
         for e in ids:
-            if not isinstance(e, int) or not 0 <= e < num_experts:
+            if type(e) is not int:  # JSON true/false would pass isinstance(e, int)
+                raise DataError(f"{path}: line {i}: expert id {json.dumps(e)} is not an integer")
+            if not 0 <= e < num_experts:
                 raise DataError(
                     f"{path}: line {i}: expert id {e} outside [0, {num_experts})"
                 )
+        if len(set(ids)) != k:
+            raise DataError(f"{path}: line {i}: duplicate expert ids {ids}")
         sel[l, t] = ids
     if (sel < 0).any():
         raise DataError(f"{path}: missing records for some (token, layer) pairs")

@@ -21,12 +21,14 @@ from . import numerics as nx
 from .config import ModelConfig
 from .errors import DataError
 from .experts import per_expert_param_count, shared_param_count
-from .losses import bles_loss, lm_cross_entropy, load_balance_loss
-from .model import TransformerLM
+from .losses import bles_loss, load_balance_loss, total_loss
+from .model import RoutingTrace, TransformerLM
 from .offload_sim import OffloadCostModel, delta_uniform_from_counts, replay_offload
 from .routing import expert_load_fractions
 
 SPLIT_BLOCK = 256  # corpus split granularity in tokens
+
+lm_cross_entropy = nx.cross_entropy  # compute_losses calls it through this module name
 
 
 @dataclass
@@ -305,7 +307,7 @@ def compute_losses(model: TransformerLM, x: np.ndarray, y: np.ndarray):
         bles_sum = br.loss_term if bles_sum is None else nx.add(bles_sum, br.loss_term)
     lb = nx.mul(lb_sum, 1.0 / n_layers)
     bles = nx.mul(bles_sum, 1.0 / n_layers)
-    total = nx.add(ce, nx.add(nx.mul(lb, mcfg.lb_coef), nx.mul(bles, mcfg.bles_coef)))
+    total = total_loss(ce, lb, bles, mcfg.lb_coef, mcfg.bles_coef)
     parts = {
         "ce": ce.item(),
         "lb": lb.item(),
@@ -353,7 +355,8 @@ def default_cost_model(config: ModelConfig, bytes_per_param: float = 4.0,
 def evaluate(model: TransformerLM, corpus: Corpus, cfg: TrainConfig,
              cost: OffloadCostModel | None = None) -> dict:
     """Validation metrics on deterministic batches: cross-entropy, perplexity,
-    replacement percentage, balance deviation, and simulated tokens/sec."""
+    replacement percentage, balance deviation, and simulated tokens/sec (the
+    offload replay of each batch's first sequence)."""
     rng = np.random.default_rng(cfg.seed + 104729)  # fixed eval stream
     mcfg = model.config
     if cost is None:
@@ -371,7 +374,10 @@ def evaluate(model: TransformerLM, corpus: Corpus, cfg: TrainConfig,
             counts[l] += _kernels.usage_counts(
                 selected.indices.reshape(1, -1, selected.k), mcfg.experts
             )[0]
-        trace = model.traces(artifacts, include_weights=False)[0]
+        trace = RoutingTrace(
+            selections=np.stack([selected.indices[0] for _, _, selected in artifacts]),
+            num_experts=mcfg.experts,
+        )
         tok_s_vals.append(replay_offload(trace, cost).tokens_per_sec)
     ce = float(np.mean(ce_vals))
     overall_delta, _ = delta_uniform_from_counts(counts, mcfg.experts)

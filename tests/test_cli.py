@@ -1,5 +1,8 @@
 """Command-line surface: subcommands, exit codes, artifact files."""
 
+import json
+
+import numpy as np
 import pytest
 
 from moelab import fixtures
@@ -63,6 +66,21 @@ def test_eval_checkpoint(run_dir, corpus_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "val_ppl" in out and "val_exrep" in out
+
+
+@pytest.mark.parametrize("key,value", [("bogus", 1), ("layers", "2"), ("hidden", 64.0)])
+def test_checkpoint_with_bad_config_key_exits_2(run_dir, tmp_path, capsys, key, value):
+    with np.load(run_dir / "checkpoint.npz") as ckpt:
+        arrays = dict(ckpt)
+    config = json.loads(str(arrays["__config__"]))
+    config[key] = value
+    arrays["__config__"] = np.array(json.dumps(config))
+    path = tmp_path / "bad_config.npz"
+    np.savez(path, **arrays)
+    code = main(["generate", "--checkpoint", str(path), "--prompt", "Toza", "--tokens", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
 
 
 def test_generate_and_trace_file(run_dir, tmp_path, capsys):

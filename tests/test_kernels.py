@@ -1,33 +1,105 @@
-"""Parity between the numba kernels and their pure-numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""Each numpy kernel against a plain-Python loop oracle."""
 
 import numpy as np
-import pytest
 
 from moelab import _kernels as K
 
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
+
+def _loop_index_add_rows(out, idx, rows):
+    for m in range(idx.shape[0]):
+        r = idx[m]
+        for d in range(rows.shape[1]):
+            out[r, d] += rows[m, d]
 
 
-@needs_numba
-def test_index_add_rows_parity():
+def _loop_scatter_add_lastdim(out, idx, vals):
+    for r in range(idx.shape[0]):
+        for k in range(idx.shape[1]):
+            out[r, idx[r, k]] += vals[r, k]
+
+
+def _loop_scatter_add_pairs(out, row_idx, col_idx, vals):
+    for m in range(row_idx.shape[0]):
+        out[row_idx[m], col_idx[m]] += vals[m]
+
+
+def _loop_transition_count(sel):
+    b, t, k = sel.shape
+    total = 0
+    for bi in range(b):
+        for ti in range(t - 1):
+            overlap = 0
+            for i in range(k):
+                cur = sel[bi, ti + 1, i]
+                for j in range(k):
+                    if sel[bi, ti, j] == cur:
+                        overlap += 1
+                        break
+            total += 2 * (k - overlap)
+    return total
+
+
+def _loop_swap_in_counts(sel):
+    l, t, k = sel.shape
+    counts = np.empty((l, t), dtype=np.int64)
+    for li in range(l):
+        counts[li, 0] = k
+        for ti in range(1, t):
+            new = 0
+            for i in range(k):
+                cur = sel[li, ti, i]
+                found = False
+                for j in range(k):
+                    if sel[li, ti - 1, j] == cur:
+                        found = True
+                        break
+                if not found:
+                    new += 1
+            counts[li, ti] = new
+    return counts
+
+
+def _loop_usage_counts(sel, num_experts):
+    b = sel.shape[0]
+    counts = np.zeros((b, num_experts), dtype=np.int64)
+    for bi in range(b):
+        for ti in range(sel.shape[1]):
+            for ki in range(sel.shape[2]):
+                counts[bi, sel[bi, ti, ki]] += 1
+    return counts
+
+
+def _loop_topk_lastdim(w, k):
+    r, e = w.shape
+    out = np.empty((r, k), dtype=np.int64)
+    for ri in range(r):
+        taken = np.zeros(e, dtype=np.bool_)
+        for slot in range(k):
+            best = -1
+            best_val = -np.inf
+            for ei in range(e):
+                if not taken[ei] and w[ri, ei] > best_val:
+                    best_val = w[ri, ei]
+                    best = ei
+            taken[best] = True
+            out[ri, slot] = best
+    return out
+
+
+def test_index_add_rows_matches_loop():
     rng = np.random.default_rng(0)
     for _ in range(20):
         n, d, m = rng.integers(2, 50), rng.integers(1, 16), rng.integers(1, 200)
-        idx = rng.integers(0, n, size=m).astype(np.int64)
+        idx = rng.integers(0, n, size=m).astype(np.int64)  # m > n forces repeats
         rows = rng.normal(size=(m, d))
         a = np.zeros((n, d))
         b = np.zeros((n, d))
-        K.index_add_rows_np(a, idx, rows)
-        K.index_add_rows_nb(b, idx, rows)
+        K.index_add_rows(a, idx, rows)
+        _loop_index_add_rows(b, idx, rows)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-@needs_numba
-def test_scatter_add_lastdim_parity():
+def test_scatter_add_lastdim_matches_loop():
     rng = np.random.default_rng(1)
     for _ in range(20):
         r, e = rng.integers(1, 40), rng.integers(2, 10)
@@ -36,13 +108,12 @@ def test_scatter_add_lastdim_parity():
         vals = rng.normal(size=(r, k))
         a = np.zeros((r, e))
         b = np.zeros((r, e))
-        K.scatter_add_lastdim_np(a, idx, vals)
-        K.scatter_add_lastdim_nb(b, idx, vals)
+        K.scatter_add_lastdim(a, idx, vals)
+        _loop_scatter_add_lastdim(b, idx, vals)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-@needs_numba
-def test_scatter_add_pairs_parity():
+def test_scatter_add_pairs_matches_loop():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n, k, m = rng.integers(2, 30), rng.integers(1, 8), rng.integers(1, 100)
@@ -51,8 +122,8 @@ def test_scatter_add_pairs_parity():
         vals = rng.normal(size=m)
         a = np.zeros((n, k))
         b = np.zeros((n, k))
-        K.scatter_add_pairs_np(a, rows, cols, vals)
-        K.scatter_add_pairs_nb(b, rows, cols, vals)
+        K.scatter_add_pairs(a, rows, cols, vals)
+        _loop_scatter_add_pairs(b, rows, cols, vals)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -64,42 +135,34 @@ def _random_selection(rng, b, t, e, k):
     return sel
 
 
-@needs_numba
-def test_transition_count_parity():
+def test_transition_count_matches_loop():
     rng = np.random.default_rng(3)
     for _ in range(50):
         e = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(e, 4) + 1))
         sel = _random_selection(rng, int(rng.integers(1, 4)), int(rng.integers(1, 20)), e, k)
-        assert K.transition_count_np(sel, e) == K.transition_count_nb(sel, e)
+        assert K.transition_count(sel, e) == _loop_transition_count(sel)
 
 
-@needs_numba
-def test_swap_in_counts_parity():
+def test_swap_in_counts_matches_loop():
     rng = np.random.default_rng(4)
     for _ in range(50):
         e = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(e, 4) + 1))
         sel = _random_selection(rng, int(rng.integers(1, 4)), int(rng.integers(1, 20)), e, k)
-        np.testing.assert_array_equal(
-            K.swap_in_counts_np(sel, e), K.swap_in_counts_nb(sel, e)
-        )
+        np.testing.assert_array_equal(K.swap_in_counts(sel, e), _loop_swap_in_counts(sel))
 
 
-@needs_numba
-def test_usage_counts_parity():
+def test_usage_counts_matches_loop():
     rng = np.random.default_rng(5)
     for _ in range(50):
         e = int(rng.integers(2, 9))
         k = int(rng.integers(1, e + 1))
         sel = rng.integers(0, e, size=(int(rng.integers(1, 5)), int(rng.integers(1, 20)), k))
-        np.testing.assert_array_equal(
-            K.usage_counts_np(sel, e), K.usage_counts_nb(sel, e)
-        )
+        np.testing.assert_array_equal(K.usage_counts(sel, e), _loop_usage_counts(sel, e))
 
 
-@needs_numba
-def test_topk_parity_and_tie_breaking():
+def test_topk_matches_loop_including_ties():
     rng = np.random.default_rng(6)
     for _ in range(50):
         r, e = int(rng.integers(1, 20)), int(rng.integers(2, 9))
@@ -107,7 +170,7 @@ def test_topk_parity_and_tie_breaking():
         w = np.ascontiguousarray(rng.normal(size=(r, e)))
         if rng.random() < 0.5:  # force ties
             w[:, : e // 2 + 1] = 0.5
-        np.testing.assert_array_equal(K.topk_lastdim_np(w, k), K.topk_lastdim_nb(w, k))
+        np.testing.assert_array_equal(K.topk_lastdim(w, k), _loop_topk_lastdim(w, k))
 
 
 def test_topk_lowest_index_wins_on_ties():
@@ -115,13 +178,3 @@ def test_topk_lowest_index_wins_on_ties():
     assert K.topk_lastdim(w, 2).tolist() == [[1, 2]]
     uniform = np.zeros((1, 5))
     assert K.topk_lastdim(uniform, 3).tolist() == [[0, 1, 2]]
-
-
-def test_env_flag_selects_numpy_fallback():
-    env = dict(os.environ, MOELAB_DISABLE_NUMBA="1")
-    code = (
-        "from moelab import _kernels as K; "
-        "assert not K.USE_NUMBA; "
-        "assert K.transition_count is K.transition_count_np"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from moelab.config import ModelConfig
 from moelab.errors import DataError
+from moelab.experts import expert_param_count
 from moelab.losses import hard_replacements
 from moelab.model import RoutingTrace
 from moelab.offload_sim import (
@@ -11,13 +13,13 @@ from moelab.offload_sim import (
     calibrate_cost_model,
     delta_uniform,
     exrep,
-    peak_memory,
     read_trace,
     replay_offload,
     resident_set_sizes,
     synthetic_trace,
     write_trace,
 )
+from moelab.trainer import default_cost_model
 
 COST = OffloadCostModel(
     expert_bytes=1e6, bandwidth=1e9, compute_per_token=0.01, shared_bytes=1e7
@@ -135,21 +137,16 @@ def test_tokens_per_sec_strictly_decreasing_in_swaps():
 
 
 def test_peak_memory_closed_forms():
-    from moelab.config import ModelConfig
-    from moelab.experts import expert_param_count, per_expert_param_count
-
-    cfg = ModelConfig(layers=3, heads=2, hidden=32, experts=8, active=2)
-    bpp = 4.0
-    resident = peak_memory(cfg, offloaded=False, bytes_per_param=bpp)
-    offloaded = peak_memory(cfg, offloaded=True, bytes_per_param=bpp)
-    per_expert = per_expert_param_count(cfg) * bpp
-    assert resident - offloaded == cfg.layers * 6 * per_expert
-    active, total = expert_param_count(cfg)
-    assert resident == int(round(total * bpp))
-    assert offloaded == int(round(active * bpp))
-
-    dense_like = ModelConfig(layers=3, heads=2, hidden=32, experts=4, active=4)
-    assert peak_memory(dense_like, True, bpp) == peak_memory(dense_like, False, bpp)
+    # The replay's peak equals the parameter accounting: shared parameters plus
+    # the K resident experts of every layer, at 4 bytes per parameter.
+    for experts, active in ((8, 2), (4, 4)):
+        cfg = ModelConfig(layers=3, heads=2, hidden=32, experts=experts, active=active)
+        trace = synthetic_trace(0.0, tokens=9, layers=3, num_experts=experts, k=active)
+        report = replay_offload(trace, default_cost_model(cfg))
+        resident, total = expert_param_count(cfg)
+        assert report.peak_resident_bytes == round(resident * 4)
+        if experts == active:
+            assert report.peak_resident_bytes == round(total * 4)
 
 
 def test_cost_model_validation():
@@ -178,6 +175,8 @@ def test_synthetic_trace_validation():
         synthetic_trace(10.0, 1, 1, 4, 2)
     with pytest.raises(ValueError):
         synthetic_trace(10.0, 10, 1, 2, 2)  # churn impossible with all experts active
+    with pytest.raises(ValueError):
+        synthetic_trace(100.0, 50, 1, num_experts=3, k=2)  # 2 swaps per step, 1 outsider
     # zero churn with k == E is fine
     trace = synthetic_trace(0.0, 10, 1, 2, 2)
     assert exrep(trace) == 0.0
@@ -246,6 +245,22 @@ def test_trace_file_errors_name_the_line(tmp_path):
 
     path.write_text(header + "not json\n" + '{"token": 1, "layer": 0, "experts": [0, 1]}\n')
     with pytest.raises(DataError, match="line 2.*invalid JSON"):
+        read_trace(path)
+
+    path.write_text(
+        header
+        + '{"token": 0, "layer": 0, "experts": [0, 1]}\n'
+        + '{"token": 1, "layer": 0, "experts": [1, 1]}\n'
+    )
+    with pytest.raises(DataError, match=r"line 3.*duplicate expert ids \[1, 1\]"):
+        read_trace(path)
+
+    path.write_text(
+        header
+        + '{"token": 0, "layer": 0, "experts": [true, false]}\n'
+        + '{"token": 1, "layer": 0, "experts": [0, 1]}\n'
+    )
+    with pytest.raises(DataError, match="line 2.*expert id true is not an integer"):
         read_trace(path)
 
 
