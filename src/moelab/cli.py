@@ -78,6 +78,7 @@ def _configs_from_args(args) -> tuple[ModelConfig, TrainConfig]:
             setattr(model_cfg, key, value)
     model_cfg.seq_len = max(model_cfg.seq_len, train_cfg.seq_len)
     model_cfg.validate()
+    train_cfg.validate()
     return model_cfg, train_cfg
 
 

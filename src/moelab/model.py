@@ -4,7 +4,8 @@ Pre-norm residual blocks: learned positional embeddings, multi-head causal
 attention, and a token-choice MoE feed-forward per layer. Every forward pass
 returns the per-layer routing artifacts so losses and traces can be computed
 without re-running the model. The router consumes the same normalized hidden
-state the experts consume.
+state the experts consume. Greedy decoding runs one prefill over the prompt and
+then one single-token step per position against per-layer key/value caches.
 """
 
 from __future__ import annotations
@@ -93,6 +94,37 @@ class LayerNorm:
         return {f"{prefix}gain": self.gain, f"{prefix}bias": self.bias}
 
 
+def _causal_mask(t: int, end: int, dtype) -> np.ndarray:
+    """Additive mask for ``t`` query positions ending at position ``end - 1``
+    over keys 0..end-1: query i sees keys up to ``end - t + i``."""
+    return np.triu(np.full((t, end), -1e30, dtype=dtype), end - t + 1)
+
+
+class KVCache:
+    """Keys and values of one sequence in one attention layer, for decoding.
+
+    The (1, heads, capacity, head_dim) buffers are allocated at the first
+    write, in the dtype of the projected keys; the first ``length`` positions
+    are filled. Forward only: no gradient flows through the cache.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.length = 0
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append (1, heads, t, head_dim) keys and values; return the filled prefix."""
+        if self.k is None:
+            shape = (1, k.shape[1], self.capacity, k.shape[3])
+            self.k, self.v = np.empty(shape, k.dtype), np.empty(shape, v.dtype)
+        start, self.length = self.length, self.length + k.shape[2]
+        self.k[:, :, start : self.length] = k
+        self.v[:, :, start : self.length] = v
+        return self.k[:, :, : self.length], self.v[:, :, : self.length]
+
+
 class CausalAttention:
     """Standard multi-head attention with an additive causal mask."""
 
@@ -105,7 +137,16 @@ class CausalAttention:
         self.wv = _normal(rng, (h, h), config.dtype)
         self.wo = _normal(rng, (h, h), config.dtype)
 
-    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(
+        self, x: Tensor, mask: np.ndarray | None, cache: KVCache | None = None
+    ) -> Tensor:
+        """Self-attention of ``x`` (B, T, hidden) under ``mask`` (T, T).
+
+        With a ``cache``, ``x`` holds only the new positions of one sequence
+        and ``mask`` is None: their keys and values are appended to the cache
+        and they attend over everything cached so far, causally among
+        themselves.
+        """
         b, t, h = x.shape
 
         def split(m: Tensor) -> Tensor:
@@ -114,8 +155,14 @@ class CausalAttention:
         q = split(nx.matmul(x, self.wq))
         k = split(nx.matmul(x, self.wk))
         v = split(nx.matmul(x, self.wv))
+        if cache is not None:
+            k_all, v_all = cache.extend(k.data, v.data)
+            k, v = Tensor(k_all), Tensor(v_all)
+            if t > 1:
+                mask = _causal_mask(t, cache.length, self.wq.dtype)
         scores = nx.mul(nx.matmul(q, nx.swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.head_dim))
-        scores = nx.add(scores, mask)
+        if mask is not None:
+            scores = nx.add(scores, mask)
         att = nx.softmax_lastdim(scores)
         out = nx.reshape(nx.swapaxes(nx.matmul(att, v), 1, 2), (b, t, h))
         return nx.matmul(out, self.wo)
@@ -176,7 +223,12 @@ class Block:
         self.moe = MoELayer(config, rng)
 
     def forward(self, x: Tensor, mask: np.ndarray):
-        x = nx.add(x, self.attn.forward(self.ln1.forward(x), mask))
+        return self.step(x, mask, None)
+
+    def step(self, x: Tensor, mask: np.ndarray | None, cache: KVCache | None):
+        """``forward``, attending through ``cache`` when one is given (see
+        ``CausalAttention.forward``)."""
+        x = nx.add(x, self.attn.forward(self.ln1.forward(x), mask, cache=cache))
         ffn, logits, weights, selected = self.moe.forward(self.ln2.forward(x))
         return nx.add(x, ffn), (logits, weights, selected)
 
@@ -205,10 +257,10 @@ class TransformerLM:
         self.ln_f = LayerNorm(config.hidden, config.dtype)
         self.lm_head = _normal(rng, (config.hidden, config.vocab), config.dtype)
 
-    def _mask(self, t: int) -> np.ndarray:
-        m = np.zeros((t, t), dtype=self.wte.dtype)
-        m[np.triu_indices(t, 1)] = -1e30
-        return m
+    def _embed(self, tokens: np.ndarray, start: int) -> Tensor:
+        """Token plus position embeddings of (B, t) ids at positions start.."""
+        positions = np.arange(start, start + tokens.shape[1])
+        return nx.add(nx.embedding(self.wte, tokens), nx.take_rows(self.wpe, positions))
 
     def forward(self, tokens: np.ndarray) -> tuple[Tensor, list[LayerArtifacts]]:
         """Run the causal LM; returns logits (B, T, vocab) and per-layer routing.
@@ -221,8 +273,8 @@ class TransformerLM:
         b, t = tokens.shape
         if t > self.config.seq_len:
             raise ValueError(f"sequence length {t} exceeds seq_len={self.config.seq_len}")
-        x = nx.add(nx.embedding(self.wte, tokens), nx.take_rows(self.wpe, np.arange(t)))
-        mask = self._mask(t)
+        x = self._embed(tokens, 0)
+        mask = _causal_mask(t, t, self.wte.dtype)
         artifacts: list[LayerArtifacts] = []
         for block in self.blocks:
             x, layer_art = block.forward(x, mask)
@@ -251,9 +303,14 @@ class TransformerLM:
     ) -> tuple[np.ndarray, RoutingTrace]:
         """Greedy decode ``n`` tokens; the trace covers prompt + generated tokens.
 
-        Causality makes the incremental routing decisions identical to one
-        final full-sequence pass, which is what the returned trace is built
-        from.
+        One prefill runs the prompt, then every later position takes one
+        single-token step against per-layer key/value caches, all under
+        ``no_grad``; only the newest position goes through ``ln_f`` and
+        ``lm_head``. The trace is the routing these steps record (the last
+        generated token takes a step for its routing only). By causality it
+        equals the trace of one full ``forward`` over the returned tokens up
+        to float reassociation: the steps multiply shorter operands, so sums
+        may round differently in the last bits.
         """
         if mode != "greedy":
             raise ValueError(f"unsupported generation mode {mode!r}")
@@ -267,13 +324,28 @@ class TransformerLM:
             raise ValueError(
                 f"prompt ({prompt.size}) + n ({n}) exceeds seq_len={self.config.seq_len}"
             )
-        tokens = prompt.copy()
-        for _ in range(n):
-            logits, _ = self.forward(tokens[None, :])
-            nxt = int(np.argmax(logits.data[0, -1]))
-            tokens = np.append(tokens, nxt)
-        _, artifacts = self.forward(tokens[None, :])
-        trace = self.traces(artifacts)[0]
+        tokens = np.empty(total, dtype=np.int64)
+        tokens[: prompt.size] = prompt
+        caches = [KVCache(total) for _ in self.blocks]
+        selections: list[list[np.ndarray]] = [[] for _ in self.blocks]
+        weights: list[list[np.ndarray]] = [[] for _ in self.blocks]
+        start = 0
+        with nx.no_grad():
+            for end in range(prompt.size, total + 1):
+                x = self._embed(tokens[None, start:end], start)
+                for block, cache, sel, w in zip(self.blocks, caches, selections, weights):
+                    x, (_, routing, selected) = block.step(x, None, cache)
+                    sel.append(selected.indices[0])
+                    w.append(routing.values.data[0])
+                if end < total:
+                    last = self.ln_f.forward(Tensor(x.data[:, -1]))
+                    tokens[end] = int(np.argmax(nx.matmul(last, self.lm_head).data[0]))
+                start = end
+        trace = RoutingTrace(
+            selections=np.stack([np.concatenate(s) for s in selections]),
+            num_experts=self.config.experts,
+            weights=np.stack([np.concatenate(s) for s in weights]),
+        )
         return tokens, trace
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -5,6 +5,9 @@ need: matmul, broadcasted elementwise arithmetic, abs, sum/mean, softmax along
 the last axis, SiLU, layer normalization, embedding lookup, row/element
 gather-scatter, reshape/swapaxes, and a fused cross-entropy. Gradients
 accumulate additively into ``Tensor.grad``; callers zero them between steps.
+Inside ``with no_grad():`` every operation returns a plain tensor with no
+parents and no backward closure, so forward-only callers (evaluation, decoding)
+build no graph; the forward values are the same bits either way.
 
 Double precision is the default and is required for the finite-difference
 checks; single precision is accepted for the training path.
@@ -12,7 +15,8 @@ checks; single precision is accepted for the training path.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +30,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -133,9 +137,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_grad_enabled = True  # cleared only inside no_grad()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no autodiff graph for the operations run inside the block."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -321,14 +321,15 @@ def read_trace(path) -> RoutingTrace:
     header = parse(1, lines[0])
     if header.get("format") != TRACE_MAGIC:
         raise DataError(f"{path}: line 1: missing format={TRACE_MAGIC} header")
-    try:
-        layers = int(header["layers"])
-        tokens = int(header["tokens"])
-        k = int(header["active"])
-        num_experts = int(header["experts"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: line 1: incomplete header ({exc})") from exc
-    if min(layers, tokens, k, num_experts) < 1:
+    keys = ("layers", "tokens", "active", "experts")
+    sizes = [header.get(key) for key in keys]
+    for key, value in zip(keys, sizes):
+        if type(value) is not int:  # JSON true or 2.9 is not a size
+            raise DataError(
+                f"{path}: line 1: header field {key}={json.dumps(value)} is not an integer"
+            )
+    layers, tokens, k, num_experts = sizes
+    if min(sizes) < 1:
         raise DataError(f"{path}: line 1: header fields must be positive")
 
     expected = layers * tokens
@@ -339,10 +340,12 @@ def read_trace(path) -> RoutingTrace:
     sel = np.full((layers, tokens, k), -1, dtype=np.int64)
     for i, text in enumerate(lines[1:], start=2):
         rec = parse(i, text)
-        try:
-            t, l, ids = int(rec["token"]), int(rec["layer"]), rec["experts"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {i}: incomplete record ({exc})") from exc
+        t, l, ids = rec.get("token"), rec.get("layer"), rec.get("experts")
+        if type(t) is not int or type(l) is not int:
+            raise DataError(
+                f"{path}: line {i}: token={json.dumps(t)} and layer={json.dumps(l)} "
+                "must be integers"
+            )
         if not 0 <= t < tokens or not 0 <= l < layers:
             raise DataError(f"{path}: line {i}: token/layer out of range")
         if not isinstance(ids, list) or len(ids) != k:

@@ -58,6 +58,9 @@ class TrainConfig:
     eval_batches: int = 8
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.seq_len < 2:
@@ -66,6 +69,12 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not 0 < self.val_frac < 1:
             raise ValueError("val_frac must be in (0, 1)")
+        if self.batch_size < 1 or self.eval_batches < 1 or self.eval_interval < 1:
+            raise ValueError("batch_size, eval_batches and eval_interval must be >= 1")
+        if not self.lr >= 0:  # lr = 0 freezes the parameters; NaN fails too
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
     @classmethod
     def field_names(cls) -> list[str]:
@@ -209,7 +218,9 @@ def sample_batch(
         raise DataError(
             f"token stream of {len(ids)} too short for seq_len={seq_len}"
         )
-    starts = rng.integers(0, len(ids) - seq_len - 1, size=batch_size)
+    # the bound excludes the last start; it is kept so that longer streams keep
+    # their batch order, and a stream of exactly one window needs the floor of 1
+    starts = rng.integers(0, max(len(ids) - seq_len - 1, 1), size=batch_size)
     x = np.stack([ids[s : s + seq_len] for s in starts])
     y = np.stack([ids[s + 1 : s + seq_len + 1] for s in starts])
     return x, y
@@ -356,7 +367,7 @@ def evaluate(model: TransformerLM, corpus: Corpus, cfg: TrainConfig,
              cost: OffloadCostModel | None = None) -> dict:
     """Validation metrics on deterministic batches: cross-entropy, perplexity,
     replacement percentage, balance deviation, and simulated tokens/sec (the
-    offload replay of each batch's first sequence)."""
+    offload replay of each batch's first sequence). Builds no autodiff graph."""
     rng = np.random.default_rng(cfg.seed + 104729)  # fixed eval stream
     mcfg = model.config
     if cost is None:
@@ -365,20 +376,21 @@ def evaluate(model: TransformerLM, corpus: Corpus, cfg: TrainConfig,
     exrep_vals = []
     counts = np.zeros((mcfg.layers, mcfg.experts), dtype=np.int64)
     tok_s_vals = []
-    for _ in range(cfg.eval_batches):
-        x, y = sample_batch(corpus.val_ids, cfg.batch_size, cfg.seq_len, rng)
-        _, parts, artifacts = compute_losses(model, x, y)
-        ce_vals.append(parts["ce"])
-        exrep_vals.append(parts["exrep"])
-        for l, (_, _, selected) in enumerate(artifacts):
-            counts[l] += _kernels.usage_counts(
-                selected.indices.reshape(1, -1, selected.k), mcfg.experts
-            )[0]
-        trace = RoutingTrace(
-            selections=np.stack([selected.indices[0] for _, _, selected in artifacts]),
-            num_experts=mcfg.experts,
-        )
-        tok_s_vals.append(replay_offload(trace, cost).tokens_per_sec)
+    with nx.no_grad():
+        for _ in range(cfg.eval_batches):
+            x, y = sample_batch(corpus.val_ids, cfg.batch_size, cfg.seq_len, rng)
+            _, parts, artifacts = compute_losses(model, x, y)
+            ce_vals.append(parts["ce"])
+            exrep_vals.append(parts["exrep"])
+            for l, (_, _, selected) in enumerate(artifacts):
+                counts[l] += _kernels.usage_counts(
+                    selected.indices.reshape(1, -1, selected.k), mcfg.experts
+                )[0]
+            trace = RoutingTrace(
+                selections=np.stack([selected.indices[0] for _, _, selected in artifacts]),
+                num_experts=mcfg.experts,
+            )
+            tok_s_vals.append(replay_offload(trace, cost).tokens_per_sec)
     ce = float(np.mean(ce_vals))
     overall_delta, _ = delta_uniform_from_counts(counts, mcfg.experts)
     return {
@@ -421,11 +433,7 @@ def train(
                 corpus.train_ids, train_cfg.batch_size, train_cfg.seq_len, batch_rng
             )
             metrics = train_step(model, batch, optimizer, step)
-            if (
-                train_cfg.eval_interval > 0
-                and (step + 1) % train_cfg.eval_interval == 0
-                and step + 1 < train_cfg.steps
-            ):
+            if (step + 1) % train_cfg.eval_interval == 0 and step + 1 < train_cfg.steps:
                 metrics.update(evaluate(model, corpus, train_cfg))
             history.append(metrics)
             if metrics_fh is not None:
@@ -482,6 +490,7 @@ def run_experiment(
         row = {"variant": name, "status": "ok"}
         try:
             mc.validate()
+            tc.validate()
             variant_dir = None if out_dir is None else Path(out_dir) / name
             _, final, _ = train(mc, tc, corpus=corpus, out_dir=variant_dir, quiet=quiet)
             row.update({k: final[k] for k in EXPERIMENT_FIELDS if k in final})

@@ -2,11 +2,14 @@
 
 perfbench/tracer.py rebinds moelab entry points by module attribute and
 perfbench/run.py records ``_kernels.USE_NUMBA`` in its run manifest. Deleting
-or renaming one of those names fails here, not in every benchmark run.
+or renaming one of those names, or changing the signature of a method the
+tracer wraps, fails here, not in every benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import moelab
 
@@ -40,3 +43,33 @@ def test_tracer_patches_install_and_uninstall():
 
 def test_kernel_backend_flag_is_readable():
     assert moelab._kernels.USE_NUMBA is False
+
+
+def test_workload_calls_run_under_the_patches(tmp_path):
+    """What the decode and train workloads call, run once with tracing on."""
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    patches = tracer.Patches(tr, moelab)
+    model_mod, trainer, offload_sim = moelab.model, moelab.trainer, moelab.offload_sim
+    mc = moelab.config.ModelConfig(layers=2, heads=2, hidden=16, inter=32, seq_len=16,
+                                   experts=4, active=2, dtype="float32")
+    tc = trainer.TrainConfig(steps=2, batch_size=2, seq_len=16, eval_batches=1)
+    corpus = trainer.Corpus(train_ids=np.arange(200) % 256, val_ids=np.arange(100) % 256)
+    model_mod.TransformerLM(mc, seed=0).save(tmp_path / "model.npz")
+    patches.install()
+    try:
+        model = model_mod.TransformerLM.load(tmp_path / "model.npz")
+        _, trace = model.generate(np.array([1, 2, 3]), 4)
+        offload_sim.write_trace(trace, tmp_path / "t.trace")
+        back = offload_sim.read_trace(tmp_path / "t.trace")
+        offload_sim.replay_offload(back, trainer.default_cost_model(mc))
+        batch = trainer.sample_batch(corpus.train_ids, tc.batch_size, tc.seq_len,
+                                     np.random.default_rng(0))
+        trainer.train_step(model, batch, trainer.Optimizer(model, tc), 0)
+        trainer.evaluate(model, corpus, tc)
+    finally:
+        patches.uninstall()
+    for name in ("model.ckpt_load", "model.generate", "model.attention", "experts.ffn",
+                 "offload_sim.read", "trainer.forward", "trainer.backward", "trainer.evaluate"):
+        assert tr.sink.calls[name] > 0, name
+    assert not tr.stack

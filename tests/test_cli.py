@@ -57,6 +57,7 @@ def test_train_invalid_parameters_exit_1(corpus_file, capsys):
     code = main(["train", "--corpus", str(corpus_file), "--steps", "1",
                  "--experts", "2", "--active", "5"])
     assert code == 1
+    assert main(["train", "--corpus", str(corpus_file), "--steps", "0"]) == 1
     capsys.readouterr()
 
 

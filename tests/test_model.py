@@ -5,9 +5,10 @@ import copy
 import numpy as np
 import pytest
 
+from moelab import numerics as nx
 from moelab.config import ModelConfig
 from moelab.errors import DataError
-from moelab.model import TransformerLM
+from moelab.model import KVCache, TransformerLM
 from moelab.numerics import Tensor
 from moelab.routing import route
 
@@ -140,6 +141,38 @@ def test_generate_contracts():
     assert np.array_equal(tokens_a, tokens_b)
     assert np.array_equal(trace_a.selections, trace_b.selections)
     assert trace_a.selections.shape == (3, 35, 2)  # K entries per token per layer
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_generate_matches_a_full_forward(dtype, seed):
+    """The KV-cached decode picks each token as the argmax of a full forward
+    over the returned sequence and records that forward's routing."""
+    cfg = ModelConfig(layers=2, heads=4, hidden=64, inter=256, vocab=256, seq_len=128,
+                      experts=8, active=2, dtype=dtype)  # configs/desk.cfg shape
+    model = TransformerLM(cfg, seed=seed)
+    prompt = np.random.default_rng(seed).integers(0, cfg.vocab, size=16)
+    tokens, trace = model.generate(prompt, cfg.seq_len - prompt.size)
+    assert np.array_equal(tokens[:16], prompt)
+    logits, artifacts = model.forward(tokens)
+    rows = logits.data[0, 15:-1]
+    picked = rows[np.arange(rows.shape[0]), tokens[16:]]
+    assert np.all(rows.max(axis=-1) - picked <= 1e-5)
+    full = model.traces(artifacts)[0]
+    np.testing.assert_array_equal(trace.selections, full.selections)
+    np.testing.assert_allclose(trace.weights, full.weights, rtol=0, atol=1e-6)
+
+
+def test_cached_attention_in_chunks_matches_full_attention():
+    cfg = tiny_config()
+    attn = TransformerLM(cfg, seed=13).blocks[0].attn
+    x = np.random.default_rng(13).normal(size=(1, 7, cfg.hidden))
+    want = attn.forward(Tensor(x), np.triu(np.full((7, 7), -1e30), 1)).data
+    cache = KVCache(7)
+    with nx.no_grad():
+        parts = [attn.forward(Tensor(x[:, a:b]), None, cache=cache).data
+                 for a, b in ((0, 3), (3, 4), (4, 7))]
+    np.testing.assert_allclose(np.concatenate(parts, axis=1), want, rtol=0, atol=1e-12)
 
 
 def test_generate_parameter_errors():

@@ -134,6 +134,18 @@ def test_diamond_graph_accumulates_once_per_path():
     assert np.allclose(x.grad, np.array([26.0]))
 
 
+def test_no_grad_records_no_graph_and_restores_grad_mode():
+    x = nx.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(RuntimeError):
+        with nx.no_grad():
+            out = nx.matmul(x, x)
+            raise RuntimeError("leave the block by an exception")
+    assert out._backward is None and out._parents == () and not out.requires_grad
+    tracked = nx.matmul(x, x)
+    assert tracked._backward is not None and tracked._parents == (x, x)
+    np.testing.assert_array_equal(out.data, tracked.data)
+
+
 def test_embedding_rejects_out_of_range_ids():
     table = nx.parameter(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="out of range"):

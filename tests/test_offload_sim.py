@@ -1,5 +1,7 @@
 """Offload replay: swap accounting, latency model, metrics, trace files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,21 @@ def test_trace_file_errors_name_the_line(tmp_path):
     )
     with pytest.raises(DataError, match="line 2.*expert id true is not an integer"):
         read_trace(path)
+
+    records = '{"token": 0, "layer": 0, "experts": [0, 1]}\n' * 2
+    sizes = {"layers": 1, "tokens": 2, "active": 2, "experts": 4}
+    for field, value in (("layers", True), ("tokens", 2.9), ("active", "2"), ("experts", None)):
+        bad_header = json.dumps({"format": "moelab-trace-v1", **sizes, field: value})
+        path.write_text(bad_header + "\n" + records)
+        with pytest.raises(DataError, match=f"line 1.*{field}={json.dumps(value)} is not an integer"):
+            read_trace(path)
+
+    for record in ('{"token": 1.7, "layer": 0, "experts": [0, 1]}',
+                   '{"token": 1, "layer": false, "experts": [0, 1]}',
+                   '{"layer": 0, "experts": [0, 1]}'):
+        path.write_text(header + '{"token": 0, "layer": 0, "experts": [0, 1]}\n' + record + "\n")
+        with pytest.raises(DataError, match="line 3.*must be integers"):
+            read_trace(path)
 
 
 def test_malformed_selection_tensor_rejected():

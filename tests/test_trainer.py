@@ -1,10 +1,12 @@
 """Ingestion, optimization semantics, determinism, the experiment harness."""
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
+from moelab import numerics as nx
 from moelab.config import ModelConfig
 from moelab.errors import DataError
 from moelab.model import TransformerLM
@@ -15,6 +17,7 @@ from moelab.trainer import (
     compute_losses,
     encode_text,
     decode_ids,
+    evaluate,
     ingest_corpus,
     load_config_file,
     run_experiment,
@@ -182,17 +185,19 @@ def test_run_experiment_rows_and_isolation(tmp_path, corpus_file):
             ("baseline", {"bles_coef": 0.0}),
             ("bles", {"bles_coef": 0.1}),
             ("broken", {"active": 99}),
+            ("broken-train", {"eval_interval": 0}),
         ],
         out_dir=tmp_path / "exp",
     )
-    assert [r["variant"] for r in rows] == ["baseline", "bles", "broken"]
+    assert [r["variant"] for r in rows] == ["baseline", "bles", "broken", "broken-train"]
     assert rows[0]["status"] == "ok" and rows[1]["status"] == "ok"
     assert rows[2]["status"].startswith("failed")
+    assert rows[3]["status"].startswith("failed") and "eval_interval" in rows[3]["status"]
     for row in rows[:2]:
         assert "val_exrep" in row and "sim_tokens_per_sec" in row
     csv = (tmp_path / "exp" / "comparison.csv").read_text().splitlines()
     assert csv[0].startswith("variant,")
-    assert len(csv) == 4
+    assert len(csv) == 5
 
 
 def test_run_experiment_is_repeatable(corpus_file):
@@ -239,6 +244,44 @@ def test_load_config_file(tmp_path, corpus_file):
     bad.write_text("just a line\n")
     with pytest.raises(DataError, match="key = value"):
         load_config_file(bad)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["batch_size = 0", "lr = -0.001", "lr = nan", "warmup_steps = -1",
+     "eval_batches = 0", "eval_interval = 0"],
+)
+def test_config_file_rejects_out_of_range_train_fields(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(DataError, match="invalid configuration"):
+        load_config_file(path)
+
+
+def test_sample_batch_takes_a_stream_of_exactly_one_window():
+    x, y = sample_batch(np.arange(129), 2, 128, np.random.default_rng(0))
+    np.testing.assert_array_equal(x, np.tile(np.arange(128), (2, 1)))
+    np.testing.assert_array_equal(y, np.tile(np.arange(1, 129), (2, 1)))
+    # a longer stream draws its starts exactly as before
+    x, _ = sample_batch(np.arange(300), 4, 128, np.random.default_rng(1))
+    np.testing.assert_array_equal(x[:, 0], np.random.default_rng(1).integers(0, 171, size=4))
+
+
+def test_evaluate_builds_no_graph_and_matches_grad_mode(corpus_file, monkeypatch):
+    corpus = ingest_corpus(corpus_file)
+    model = TransformerLM(small_model_cfg(), seed=3)
+    tokens = corpus.val_ids[:16][None, :]
+    with nx.no_grad():
+        logits, _ = model.forward(tokens)
+    assert logits._backward is None
+    graph_logits, _ = model.forward(tokens)
+    assert graph_logits._backward is not None
+    np.testing.assert_array_equal(logits.data, graph_logits.data)
+
+    cfg = small_train_cfg(corpus_file)
+    without_graph = evaluate(model, corpus, cfg)
+    monkeypatch.setattr(nx, "no_grad", contextlib.nullcontext)
+    assert evaluate(model, corpus, cfg) == without_graph
 
 
 def test_weight_decomposed_experts_train(corpus_file):
