@@ -3,7 +3,3 @@
 
 class DataError(Exception):
     """Malformed external input: corpus, trace file, checkpoint, or config."""
-
-
-class FixtureMismatch(Exception):
-    """A bundled reference check computed a value different from its expectation."""

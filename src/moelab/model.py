@@ -28,15 +28,10 @@ INIT_STD = 0.02
 
 @dataclass
 class RoutingTrace:
-    """Expert selections of one sequence: (layers, T, K) integer ids.
-
-    ``weights`` optionally carries the full routing probability rows
-    (layers, T, E) for soft metrics; trace files store selections only.
-    """
+    """Expert selections of one sequence: (layers, T, K) integer ids."""
 
     selections: np.ndarray
     num_experts: int
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.selections = np.asarray(self.selections, dtype=np.int64)
@@ -177,7 +172,14 @@ class CausalAttention:
 
 
 class MoELayer:
-    """Token-choice sparse FFN: route, run the selected experts, mix by gate."""
+    """Token-choice sparse FFN: route, run the selected experts, mix by gate.
+
+    The (token, slot) pairs are grouped by expert with one stable sort, so
+    each hit expert runs once on its contiguous slice of gathered rows (the
+    grouped dispatch of MegaBlocks, without capacity dropping); the expert
+    outputs are concatenated, scaled by their gates and scattered back to
+    their tokens once per layer.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
@@ -191,21 +193,19 @@ class MoELayer:
         logits = RouterLogits(nx.matmul(x, self.router))
         weights, selected = route(logits, self.config.temperature, self.config.active)
 
-        n = b * t
+        n, k = b * t, selected.k
         x2 = nx.reshape(x, (n, h))
-        gates2 = nx.reshape(selected.gate_weights, (n, selected.k))
-        sel2 = selected.indices.reshape(n, selected.k)
-
-        y: Tensor | None = None
-        for e, expert in enumerate(self.experts):
-            rows, slots = np.nonzero(sel2 == e)
-            if rows.size == 0:
-                continue
-            out = expert.forward(nx.take_rows(x2, rows))
-            gate = nx.reshape(nx.take_at(gates2, rows, slots), (rows.size, 1))
-            part = nx.scatter_rows(nx.mul(out, gate), rows, n)
-            y = part if y is None else nx.add(y, part)
-        assert y is not None
+        flat = selected.indices.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        rows = order // k
+        counts = np.bincount(flat, minlength=len(self.experts)).tolist()
+        outs, lo = [], 0
+        for expert, count in zip(self.experts, counts):
+            if count:
+                outs.append(expert.forward(nx.take_rows(x2, rows[lo : lo + count])))
+                lo += count
+        gates = nx.take_rows(nx.reshape(selected.gate_weights, (n * k, 1)), order)
+        y = nx.scatter_rows(nx.mul(nx.concat_rows(outs), gates), rows, n)
         return nx.reshape(y, (b, t, h)), logits, weights, selected
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -283,21 +283,6 @@ class TransformerLM:
         logits = nx.matmul(x, self.lm_head)
         return logits, artifacts
 
-    def traces(self, artifacts: list[LayerArtifacts]) -> list[RoutingTrace]:
-        """One RoutingTrace per batch sequence, stacked over layers."""
-        sel = np.stack([a[2].indices for a in artifacts], axis=0)  # (L, B, T, K)
-        w = np.stack([a[1].values.data for a in artifacts], axis=0)
-        out = []
-        for bi in range(sel.shape[1]):
-            out.append(
-                RoutingTrace(
-                    selections=sel[:, bi],
-                    num_experts=self.config.experts,
-                    weights=w[:, bi],
-                )
-            )
-        return out
-
     def generate(
         self, prompt: np.ndarray, n: int, mode: str = "greedy"
     ) -> tuple[np.ndarray, RoutingTrace]:
@@ -328,15 +313,13 @@ class TransformerLM:
         tokens[: prompt.size] = prompt
         caches = [KVCache(total) for _ in self.blocks]
         selections: list[list[np.ndarray]] = [[] for _ in self.blocks]
-        weights: list[list[np.ndarray]] = [[] for _ in self.blocks]
         start = 0
         with nx.no_grad():
             for end in range(prompt.size, total + 1):
                 x = self._embed(tokens[None, start:end], start)
-                for block, cache, sel, w in zip(self.blocks, caches, selections, weights):
-                    x, (_, routing, selected) = block.step(x, None, cache)
+                for block, cache, sel in zip(self.blocks, caches, selections):
+                    x, (_, _, selected) = block.step(x, None, cache)
                     sel.append(selected.indices[0])
-                    w.append(routing.values.data[0])
                 if end < total:
                     last = self.ln_f.forward(Tensor(x.data[:, -1]))
                     tokens[end] = int(np.argmax(nx.matmul(last, self.lm_head).data[0]))
@@ -344,7 +327,6 @@ class TransformerLM:
         trace = RoutingTrace(
             selections=np.stack([np.concatenate(s) for s in selections]),
             num_experts=self.config.experts,
-            weights=np.stack([np.concatenate(s) for s in weights]),
         )
         return tokens, trace
 

@@ -2,12 +2,13 @@
 
 Covers exactly the operations the toy language model and its routing losses
 need: matmul, broadcasted elementwise arithmetic, abs, sum/mean, softmax along
-the last axis, SiLU, layer normalization, embedding lookup, row/element
-gather-scatter, reshape/swapaxes, and a fused cross-entropy. Gradients
-accumulate additively into ``Tensor.grad``; callers zero them between steps.
-Inside ``with no_grad():`` every operation returns a plain tensor with no
-parents and no backward closure, so forward-only callers (evaluation, decoding)
-build no graph; the forward values are the same bits either way.
+the last axis, SiLU, layer normalization, embedding lookup, row gather, scatter
+and concatenation, gathers along the last axis, reshape/swapaxes, and a fused
+cross-entropy. Gradients accumulate additively into ``Tensor.grad``; callers
+zero them between steps. Inside ``with no_grad():`` every operation returns a
+plain tensor with no parents and no backward closure, so forward-only callers
+(evaluation, decoding) build no graph; the forward values are the same bits
+either way.
 
 Double precision is the default and is required for the finite-difference
 checks; single precision is accepted for the training path.
@@ -381,6 +382,13 @@ def scatter_rows(rows: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     return _result(data, (rows,), backward)
 
 
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack 2-d tensors along the rows; backward splits the gradient back."""
+    data = np.concatenate([p.data for p in parts])
+    bounds = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return _result(data, tuple(parts), lambda g: tuple(np.split(g, bounds)))
+
+
 def take_along_lastdim(x: Tensor, idx: np.ndarray) -> Tensor:
     """out[..., k] = x[..., idx[..., k]] with idx matching x on leading dims."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -393,20 +401,6 @@ def take_along_lastdim(x: Tensor, idx: np.ndarray) -> Tensor:
         _kernels.scatter_add_lastdim(
             gx.reshape(r, x.shape[-1]), idx2, np.ascontiguousarray(g.reshape(idx2.shape))
         )
-        return (gx,)
-
-    return _result(data, (x,), backward)
-
-
-def take_at(x: Tensor, row_idx: np.ndarray, col_idx: np.ndarray) -> Tensor:
-    """Gather scalar entries of a 2-d tensor: out[m] = x[row_idx[m], col_idx[m]]."""
-    row_idx = np.ascontiguousarray(np.asarray(row_idx, dtype=np.int64))
-    col_idx = np.ascontiguousarray(np.asarray(col_idx, dtype=np.int64))
-    data = x.data[row_idx, col_idx]
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        _kernels.scatter_add_pairs(gx, row_idx, col_idx, np.ascontiguousarray(g))
         return (gx,)
 
     return _result(data, (x,), backward)

@@ -85,7 +85,8 @@ def load_config_file(path) -> tuple[ModelConfig, TrainConfig]:
     """Parse a `key = value` config file into the two config objects.
 
     Lines starting with '#' and blank lines are ignored. Keys are the union of
-    ModelConfig and TrainConfig field names; anything else is rejected.
+    ModelConfig and TrainConfig field names; anything else is rejected. A key
+    both configs have (``seq_len``) sets it in both.
     """
     model_fields = {f.name: f.type for f in fields(ModelConfig)}
     train_fields = {f.name: f.type for f in fields(TrainConfig)}
@@ -102,21 +103,20 @@ def load_config_file(path) -> tuple[ModelConfig, TrainConfig]:
         if "=" not in line:
             raise DataError(f"{path}: line {i}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in model_fields:
-            target, hint = model_kwargs, model_fields[key]
-        elif key in train_fields:
-            target, hint = train_kwargs, train_fields[key]
-        else:
+        hint = model_fields.get(key, train_fields.get(key))
+        if hint is None:
             raise DataError(f"{path}: line {i}: unknown key {key!r}")
         try:
             if hint in ("int", int):
-                target[key] = int(value)
+                value = int(value)
             elif hint in ("float", float):
-                target[key] = float(value)
-            else:
-                target[key] = value
+                value = float(value)
         except ValueError as exc:
             raise DataError(f"{path}: line {i}: bad value for {key} ({exc})") from exc
+        if key in model_fields:
+            model_kwargs[key] = value
+        if key in train_fields:
+            train_kwargs[key] = value
     try:
         return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
     except ValueError as exc:
@@ -470,8 +470,9 @@ def run_experiment(
 ) -> list[dict]:
     """Train every variant on the same seed and data; emit one comparison row each.
 
-    Variant overrides may name any ModelConfig or TrainConfig field. A failing
-    variant is reported in its row and does not stop the others.
+    Variant overrides may name any ModelConfig or TrainConfig field; a field
+    both configs have (``seq_len``) is set in both. A failing variant is
+    reported in its row and does not stop the others.
     """
     corpus = ingest_corpus(train_cfg.corpus, train_cfg.val_frac, train_cfg.seed)
     model_names = set(ModelConfig.field_names())
@@ -481,12 +482,12 @@ def run_experiment(
         mc = copy.deepcopy(model_cfg)
         tc = copy.deepcopy(train_cfg)
         for key, value in overrides.items():
+            if key not in model_names | train_names:
+                raise ValueError(f"variant {name!r}: unknown override {key!r}")
             if key in model_names:
                 setattr(mc, key, value)
-            elif key in train_names:
+            if key in train_names:
                 setattr(tc, key, value)
-            else:
-                raise ValueError(f"variant {name!r}: unknown override {key!r}")
         row = {"variant": name, "status": "ok"}
         try:
             mc.validate()

@@ -8,7 +8,7 @@ import pytest
 from moelab import numerics as nx
 from moelab.config import ModelConfig
 from moelab.errors import DataError
-from moelab.model import KVCache, TransformerLM
+from moelab.model import KVCache, RoutingTrace, TransformerLM
 from moelab.numerics import Tensor
 from moelab.routing import route
 
@@ -51,17 +51,35 @@ def test_moe_layer_against_brute_force_mixture():
     cfg = tiny_config(experts=4, active=2)
     model = TransformerLM(cfg, seed=2)
     layer = model.blocks[0].moe
-    x = Tensor(np.random.default_rng(2).normal(size=(1, 1, cfg.hidden)))
-    y, _, weights, sel = layer.forward(x)
+    x = np.random.default_rng(2).normal(size=(2, 6, cfg.hidden))
+    x[..., 0] = 10.0
+    layer.router.data[0, 3] = -100.0  # expert 3 gets no tokens
+    y, _, weights, sel = layer.forward(Tensor(x))
+    assert np.bincount(sel.indices.ravel(), minlength=4).tolist()[3] == 0
 
-    w_row = weights.values.data[0, 0]
-    order = np.argsort(-w_row, kind="stable")[:2]
-    np.testing.assert_array_equal(sel.indices[0, 0], order)
-    gates = w_row[order] / w_row[order].sum()
-    want = np.zeros(cfg.hidden)
-    for g, e in zip(gates, order):
-        want += g * layer.experts[e].forward(Tensor(x.data[0])).data[0]
-    np.testing.assert_allclose(y.data[0, 0], want, atol=1e-12)
+    for b, t in np.ndindex(2, 6):
+        w_row = weights.values.data[b, t]
+        order = np.argsort(-w_row, kind="stable")[:2]
+        np.testing.assert_array_equal(sel.indices[b, t], order)
+        gates = w_row[order] / w_row[order].sum()
+        want = np.zeros(cfg.hidden)
+        for g, e in zip(gates, order):
+            want += g * layer.experts[e].forward(Tensor(x[b, t][None])).data[0]
+        np.testing.assert_allclose(y.data[b, t], want, atol=1e-12)
+
+
+def test_moe_layer_scatters_once_per_layer(monkeypatch):
+    model = TransformerLM(tiny_config(layers=3), seed=12)
+    calls = []
+    scatter = nx.scatter_rows
+
+    def counted(*args):
+        calls.append(args[2])
+        return scatter(*args)
+
+    monkeypatch.setattr(nx, "scatter_rows", counted)
+    model.forward(np.random.default_rng(12).integers(0, 17, size=(2, 5)))
+    assert calls == [10, 10, 10]
 
 
 def test_moe_layer_dense_limit_uniform_gates_is_mean_of_experts():
@@ -98,17 +116,17 @@ def test_trace_consistent_with_rerouting_logits():
     model = TransformerLM(tiny_config(), seed=6)
     tokens = np.random.default_rng(6).integers(0, 17, size=(2, 7))
     _, artifacts = model.forward(tokens)
-    traces = model.traces(artifacts)
     for logits, weights, sel in artifacts:
         _, resel = route(logits, model.config.temperature, model.config.active)
         np.testing.assert_array_equal(resel.indices, sel.indices)
-    for b, trace in enumerate(traces):
+    selections = np.stack([sel.indices for _, _, sel in artifacts])  # (L, B, T, K)
+    for b in range(tokens.shape[0]):
+        trace = RoutingTrace(selections[:, b], model.config.experts)
         assert trace.tokens == 7
         assert trace.layers == 2
         assert trace.k == 2
         for l, (_, _, sel) in enumerate(artifacts):
             np.testing.assert_array_equal(trace.selections[l], sel.indices[b])
-        assert trace.weights.shape == (2, 7, model.config.experts)
 
 
 def test_expert_permutation_leaves_logits_unchanged():
@@ -158,9 +176,8 @@ def test_generate_matches_a_full_forward(dtype, seed):
     rows = logits.data[0, 15:-1]
     picked = rows[np.arange(rows.shape[0]), tokens[16:]]
     assert np.all(rows.max(axis=-1) - picked <= 1e-5)
-    full = model.traces(artifacts)[0]
-    np.testing.assert_array_equal(trace.selections, full.selections)
-    np.testing.assert_allclose(trace.weights, full.weights, rtol=0, atol=1e-6)
+    full = np.stack([sel.indices[0] for _, _, sel in artifacts])
+    np.testing.assert_array_equal(trace.selections, full)
 
 
 def test_cached_attention_in_chunks_matches_full_attention():

@@ -281,13 +281,11 @@ def _case_take_along_lastdim(rng):
     return lambda x: _weighted_sum(nx.take_along_lastdim(x, idx), c), [x]
 
 
-def _case_take_at(rng):
-    n, k, m = int(rng.integers(2, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    x = rng.normal(size=(n, k))
-    rows = rng.integers(0, n, size=m)
-    cols = rng.integers(0, k, size=m)
-    c = rng.normal(size=(m,))
-    return lambda x: _weighted_sum(nx.take_at(x, rows, cols), c), [x]
+def _case_concat_rows(rng):
+    d = int(rng.integers(1, 7))
+    parts = [rng.normal(size=(int(rng.integers(1, 5)), d)) for _ in range(3)]
+    c = rng.normal(size=(sum(p.shape[0] for p in parts), d))
+    return lambda a, b, x: _weighted_sum(nx.concat_rows([a, b, x]), c), parts
 
 
 def _case_reshape_swap(rng):
@@ -338,7 +336,7 @@ OP_CASES = [
     _case_embedding,
     _case_take_scatter_rows,
     _case_take_along_lastdim,
-    _case_take_at,
+    _case_concat_rows,
     _case_reshape_swap,
     _case_cross_entropy,
     _case_cross_entropy_padded,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from moelab import numerics as nx
+from moelab.cli import main
 from moelab.config import ModelConfig
 from moelab.errors import DataError
 from moelab.model import TransformerLM
@@ -244,6 +245,28 @@ def test_load_config_file(tmp_path, corpus_file):
     bad.write_text("just a line\n")
     with pytest.raises(DataError, match="key = value"):
         load_config_file(bad)
+
+
+def test_seq_len_sets_model_and_train_config(tmp_path, corpus_file, capsys):
+    path = tmp_path / "short.cfg"
+    path.write_text(
+        f"corpus = {corpus_file}\nseq_len = 16\nsteps = 2\nbatch_size = 2\n"
+        "eval_batches = 1\nhidden = 16\nheads = 2\ninter = 32\nexperts = 4\n"
+    )
+    mcfg, tcfg = load_config_file(path)
+    assert mcfg.seq_len == tcfg.seq_len == 16
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    assert TransformerLM.load(out / "checkpoint.npz").config.seq_len == 16
+    capsys.readouterr()
+    rows = run_experiment(
+        small_model_cfg(seq_len=32),
+        small_train_cfg(corpus_file, seq_len=32, steps=2),
+        [("short", {"seq_len": 8})],
+        out_dir=tmp_path / "exp",
+    )
+    assert rows[0]["status"] == "ok"
+    assert TransformerLM.load(tmp_path / "exp" / "short" / "checkpoint.npz").config.seq_len == 8
 
 
 @pytest.mark.parametrize(
