@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -49,10 +50,11 @@ class ModelConfig:
                 f"rank={self.rank} must be in [1, min(hidden, inter)="
                 f"{min(self.hidden, self.inter)}]"
             )
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.lb_coef < 0 or self.bles_coef < 0:
-            raise ValueError("loss coefficients must be non-negative")
+        # written so that NaN fails every range check
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if not (0 <= self.lb_coef < math.inf and 0 <= self.bles_coef < math.inf):
+            raise ValueError("loss coefficients must be finite and non-negative")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 

@@ -148,14 +148,13 @@ def load_balance_loss_model_aggregated(
     return float(num_experts * (f_bar * p_bar).sum(axis=-1).mean())
 
 
-def total_loss(ce, lb, bles, alpha_lb: float, lambda_bles: float):
+def total_loss(ce: Tensor, lb: Tensor, bles: Tensor, alpha_lb: float,
+               lambda_bles: float) -> Tensor:
     """Weighted objective ce + alpha_lb * lb + lambda_bles * bles.
 
-    Works on floats and on Tensors (for training, where the gradient of the
-    total is the weighted sum of the component gradients). The two auxiliary
-    terms are summed first, then added to ce.
+    The gradient of the total is the weighted sum of the component gradients.
+    The two auxiliary terms are summed first, then added to ce.
     """
     if alpha_lb < 0 or lambda_bles < 0:
         raise ValueError("loss coefficients must be non-negative")
-    return ce + (alpha_lb * lb + lambda_bles * bles)
-
+    return nx.add(ce, nx.add(nx.mul(lb, alpha_lb), nx.mul(bles, lambda_bles)))

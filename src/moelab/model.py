@@ -11,6 +11,7 @@ then one single-token step per position against per-layer key/value caches.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -155,10 +156,9 @@ class CausalAttention:
             k, v = Tensor(k_all), Tensor(v_all)
             if t > 1:
                 mask = _causal_mask(t, cache.length, self.wq.dtype)
-        scores = nx.mul(nx.matmul(q, nx.swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = nx.add(scores, mask)
-        att = nx.softmax_lastdim(scores)
+        att = nx.softmax_lastdim(
+            nx.matmul(q, nx.swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.head_dim), mask
+        )
         out = nx.reshape(nx.swapaxes(nx.matmul(att, v), 1, 2), (b, t, h))
         return nx.matmul(out, self.wo)
 
@@ -258,9 +258,14 @@ class TransformerLM:
         self.lm_head = _normal(rng, (config.hidden, config.vocab), config.dtype)
 
     def _embed(self, tokens: np.ndarray, start: int) -> Tensor:
-        """Token plus position embeddings of (B, t) ids at positions start.."""
+        """Token plus position embeddings of (B, t) ids at positions start..;
+        the ids come from outside, so they are range-checked (numpy would wrap
+        a negative one)."""
+        lo, hi, vocab = tokens.min(), tokens.max(), self.config.vocab
+        if lo < 0 or hi >= vocab:
+            raise ValueError(f"token ids out of range [0, {vocab}): min={lo}, max={hi}")
         positions = np.arange(start, start + tokens.shape[1])
-        return nx.add(nx.embedding(self.wte, tokens), nx.take_rows(self.wpe, positions))
+        return nx.add(nx.take_rows(self.wte, tokens), nx.take_rows(self.wpe, positions))
 
     def forward(self, tokens: np.ndarray) -> tuple[Tensor, list[LayerArtifacts]]:
         """Run the causal LM; returns logits (B, T, vocab) and per-layer routing.
@@ -374,6 +379,7 @@ class TransformerLM:
                             f"expected {tensor.data.shape}"
                         )
                     tensor.data = arr.astype(config.dtype)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        # TypeError: a plain .npy payload loads as an array, not an archive
+        except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: cannot read checkpoint ({exc})") from exc
         return model

@@ -1,11 +1,12 @@
 """Minimal dense-tensor reverse-mode autodiff on top of numpy.
 
 Covers exactly the operations the toy language model and its routing losses
-need: matmul, broadcasted elementwise arithmetic, abs, sum/mean, softmax along
-the last axis, SiLU, layer normalization, embedding lookup, row gather, scatter
-and concatenation, gathers along the last axis, reshape/swapaxes, and a fused
-cross-entropy. Gradients accumulate additively into ``Tensor.grad``; callers
-zero them between steps. Inside ``with no_grad():`` every operation returns a
+run, one op per job: matmul, broadcasted add/mul/div, abs, sum/mean, softmax
+along the last axis with a temperature and an additive mask, SiLU, layer
+normalization, row gather (token and position lookups too), scatter and
+concatenation, gathers along the last axis, reshape/swapaxes, consecutive
+differences, and a fused cross-entropy. Gradients accumulate additively into
+``Tensor.grad``; callers zero them between steps. Inside ``with no_grad():`` every operation returns a
 plain tensor with no parents and no backward closure, so forward-only callers
 (evaluation, decoding) build no graph; the forward values are the same bits
 either way.
@@ -106,34 +107,6 @@ class Tensor:
                         else:
                             grads[key] = pg
 
-    # operator sugar; all real work lives in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -173,69 +146,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _coerce(other) -> np.ndarray | Tensor:
-    return other if isinstance(other, Tensor) else np.asarray(other)
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b)
-    if isinstance(b, Tensor):
-        data = a.data + b.data
-        return _result(
-            data,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-        )
-    data = a.data + b
-    return _result(data, (a,), lambda g: (_unbroadcast(g, a.shape),))
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b = _coerce(b)
-    if isinstance(b, Tensor):
-        data = a.data - b.data
-        return _result(
-            data,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-        )
-    data = a.data - b
-    return _result(data, (a,), lambda g: (_unbroadcast(g, a.shape),))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _result(
+        a.data + b.data,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+    )
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = _coerce(b)
-    if isinstance(b, Tensor):
-        data = a.data * b.data
-        ad, bd = a.data, b.data
-        return _result(
-            data,
-            (a, b),
-            lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)),
-        )
-    data = a.data * b
-    return _result(data, (a,), lambda g: (_unbroadcast(g * b, a.shape),))
+    """a * b; a non-tensor ``b`` is a constant and gets no gradient."""
+    if not isinstance(b, Tensor):
+        b = np.asarray(b)
+        return _result(a.data * b, (a,), lambda g: (_unbroadcast(g * b, a.shape),))
+    ad, bd = a.data, b.data
+    return _result(
+        ad * bd,
+        (a, b),
+        lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)),
+    )
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _coerce(b)
-    if isinstance(b, Tensor):
-        data = a.data / b.data
-        ad, bd = a.data, b.data
-        return _result(
-            data,
-            (a, b),
-            lambda g: (
-                _unbroadcast(g / bd, a.shape),
-                _unbroadcast(-g * ad / (bd * bd), b.shape),
-            ),
-        )
-    data = a.data / b
-    return _result(data, (a,), lambda g: (_unbroadcast(g / b, a.shape),))
+def div(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = a.data, b.data
+    return _result(
+        ad / bd,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g / bd, a.shape),
+            _unbroadcast(-g * ad / (bd * bd), b.shape),
+        ),
+    )
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -284,22 +225,27 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def softmax_lastdim(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """softmax(temperature * x) along the last axis, max-stabilized.
+def softmax_lastdim(
+    x: Tensor, temperature: float = 1.0, mask: np.ndarray | None = None
+) -> Tensor:
+    """softmax(temperature * x + mask) along the last axis, max-stabilized.
 
     The temperature multiplies the logits before normalization; it must be
-    strictly positive.
+    strictly positive. ``mask`` is an additive constant (no gradient), such as
+    attention's causal mask with -1e30 above the diagonal.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     z = temperature * x.data
+    if mask is not None:
+        z = z + mask
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return (temperature * y * (g - dot),)
+        return (y * (g - dot) * temperature,)
 
     return _result(y, (x,), backward)
 
@@ -338,33 +284,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(data, (x, gain, bias), backward)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup table[ids]; ids is an integer array of any shape."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ValueError(
-            f"embedding ids out of range [0, {table.shape[0]}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
-    flat = np.ascontiguousarray(ids.reshape(-1).astype(np.int64))
-    data = table.data[flat].reshape(*ids.shape, table.shape[-1])
-
-    def backward(g):
-        gt = np.zeros_like(table.data)
-        _kernels.index_add_rows(gt, flat, np.ascontiguousarray(g.reshape(flat.shape[0], -1)))
-        return (gt,)
-
-    return _result(data, (table,), backward)
-
-
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a 2-d tensor: out[m] = x[idx[m]]."""
+    """Gather rows of a 2-d tensor: out[i...] = x[idx[i...]] for ids of any shape.
+
+    Ids are not range-checked (a negative one wraps around); callers check ids
+    that come from outside.
+    """
     idx = np.ascontiguousarray(np.asarray(idx, dtype=np.int64))
     data = x.data[idx]
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        _kernels.index_add_rows(gx, idx, np.ascontiguousarray(g))
+        _kernels.index_add_rows(
+            gx, idx.reshape(-1), np.ascontiguousarray(g.reshape(-1, x.shape[-1]))
+        )
         return (gx,)
 
     return _result(data, (x,), backward)
@@ -437,34 +370,30 @@ def consecutive_diff(x: Tensor, axis: int = 1) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of ``targets`` under ``logits``.
 
-    ``logits`` is (..., V), ``targets`` integer (...-shaped). Positions equal
-    to ``pad_id`` are excluded from both the mean and the gradient.
+    ``logits`` is (..., V), ``targets`` integer (...-shaped).
     """
     targets = np.asarray(targets, dtype=np.int64)
     v = logits.shape[-1]
     flat = logits.data.reshape(-1, v)
     tf = targets.reshape(-1)
-    valid = np.ones(tf.shape, dtype=bool) if pad_id is None else tf != pad_id
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy: no non-padding targets")
-    checked = tf[valid]
-    if checked.min() < 0 or checked.max() >= v:
-        raise ValueError(f"target ids out of range [0, {v}): max={checked.max()}")
+    n = tf.shape[0]
+    if n == 0:
+        raise ValueError("cross_entropy: no targets")
+    if tf.min() < 0 or tf.max() >= v:
+        raise ValueError(f"target ids out of range [0, {v}): max={tf.max()}")
+    rows = np.arange(n)
     m = flat.max(axis=-1, keepdims=True)
     z = flat - m
     lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
-    picked = flat[np.arange(tf.shape[0]), np.where(valid, tf, 0)]
-    nll = np.where(valid, lse - picked, 0.0)
-    data = np.asarray(nll.sum() / n_valid, dtype=flat.dtype)
+    data = np.asarray((lse - flat[rows, tf]).sum() / n, dtype=flat.dtype)
 
     def backward(g):
         p = np.exp(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
-        p[np.arange(tf.shape[0]), np.where(valid, tf, 0)] -= np.where(valid, 1.0, 0.0)
-        p *= (g * valid[:, None]) / n_valid
+        p[rows, tf] -= 1.0
+        p *= g / n
         return (p.reshape(logits.shape),)
 
     return _result(data, (logits,), backward)

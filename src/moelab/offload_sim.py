@@ -304,7 +304,7 @@ def read_trace(path) -> RoutingTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read trace ({exc})") from exc
     if not lines:
         raise DataError(f"{path}: empty trace file")
@@ -314,6 +314,8 @@ def read_trace(path) -> RoutingTrace:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise DataError(f"{path}: line {lineno}: JSON nested too deeply") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}: line {lineno}: expected an object")
         return obj

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -71,8 +72,17 @@ class TrainConfig:
             raise ValueError("val_frac must be in (0, 1)")
         if self.batch_size < 1 or self.eval_batches < 1 or self.eval_interval < 1:
             raise ValueError("batch_size, eval_batches and eval_interval must be >= 1")
-        if not self.lr >= 0:  # lr = 0 freezes the parameters; NaN fails too
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        # written so that NaN fails every range check; lr = 0 freezes the parameters
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"beta1={self.beta1} and beta2={self.beta2} must be in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if not 0 <= self.min_lr_frac <= 1:
+            raise ValueError(f"min_lr_frac must be in [0, 1], got {self.min_lr_frac}")
+        if not 0 <= self.grad_clip < math.inf:  # 0 disables clipping
+            raise ValueError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
@@ -94,7 +104,7 @@ def load_config_file(path) -> tuple[ModelConfig, TrainConfig]:
     train_kwargs: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read config ({exc})") from exc
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -84,6 +84,45 @@ def test_checkpoint_with_bad_config_key_exits_2(run_dir, tmp_path, capsys, key, 
     assert str(path) in err and key in err
 
 
+def _truncated(run_dir, path):
+    path.write_bytes((run_dir / "checkpoint.npz").read_bytes()[:-100])
+
+
+def _plain_array(run_dir, path):
+    with open(path, "wb") as fh:  # an .npy payload, not an .npz archive
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "make", [_truncated, lambda run_dir, path: path.write_bytes(b""), _plain_array],
+    ids=["truncated", "empty", "plain-array"],
+)
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_malformed_checkpoint_exits_2(run_dir, corpus_file, tmp_path, capsys, make, command):
+    path = tmp_path / "broken.npz"
+    make(run_dir, path)
+    tail = ["--prompt", "Toza"] if command == "generate" else ["--corpus", str(corpus_file)]
+    assert main([command, "--checkpoint", str(path), *tail]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_config_file_with_invalid_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"steps = 3\n\xff\n")
+    assert main(["train", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body", [b"\xff\n", b"[" * 100_000 + b"\n"], ids=["invalid-utf8", "deep-nesting"]
+)
+def test_malformed_trace_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(body)
+    assert main(["simulate-offload", "--trace", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_generate_and_trace_file(run_dir, tmp_path, capsys):
     trace_path = tmp_path / "gen.trace"
     code = main(["generate", "--checkpoint", str(run_dir / "checkpoint.npz"),

@@ -145,10 +145,12 @@ def test_cross_layer_shuffle_exploit():
 
 
 def test_total_loss_combinations():
-    assert total_loss(2.5, 7.0, 9.0, 0.0, 0.0) == 2.5
-    assert total_loss(2.0, 1.0, 0.5, 0.01, 0.1) == pytest.approx(2.06)
+    ce, lb, bles = Tensor(2.5), Tensor(7.0), Tensor(9.0)
+    assert total_loss(ce, lb, bles, 0.0, 0.0).item() == 2.5
+    total = total_loss(Tensor(2.0), Tensor(1.0), Tensor(0.5), 0.01, 0.1)
+    assert total.item() == pytest.approx(2.06)
     with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, 1.0, -0.1, 0.0)
+        total_loss(ce, lb, bles, -0.1, 0.0)
 
 
 def test_total_loss_gradient_is_weighted_sum():

@@ -82,6 +82,23 @@ def test_moe_layer_scatters_once_per_layer(monkeypatch):
     assert calls == [10, 10, 10]
 
 
+def test_attention_scores_are_one_softmax_node(monkeypatch):
+    model = TransformerLM(tiny_config(layers=1), seed=13)
+    nodes = []
+    result = nx._result
+
+    def recorded(data, parents, backward):
+        nodes.append((backward.__qualname__.split(".")[0], data.shape))
+        return result(data, parents, backward)
+
+    monkeypatch.setattr(nx, "_result", recorded)
+    model.forward(np.random.default_rng(13).integers(0, 17, size=(2, 5)))
+    # (B, heads, T, T): the q @ k^T product, then scale, mask and softmax in one node
+    assert [op for op, shape in nodes if shape == (2, 2, 5, 5)] == [
+        "matmul", "softmax_lastdim"
+    ]
+
+
 def test_moe_layer_dense_limit_uniform_gates_is_mean_of_experts():
     cfg = tiny_config(experts=3, active=3)
     model = TransformerLM(cfg, seed=3)
@@ -208,6 +225,8 @@ def test_forward_input_validation():
         model.forward(np.zeros((1, 9), dtype=np.int64))
     with pytest.raises(ValueError, match="out of range"):
         model.forward(np.array([[99]]))
+    with pytest.raises(ValueError, match="out of range"):  # numpy would wrap -1
+        model.forward(np.array([[3, -1]]))
 
 
 def test_checkpoint_roundtrip(tmp_path):

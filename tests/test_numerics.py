@@ -146,12 +146,6 @@ def test_no_grad_records_no_graph_and_restores_grad_mode():
     np.testing.assert_array_equal(out.data, tracked.data)
 
 
-def test_embedding_rejects_out_of_range_ids():
-    table = nx.parameter(np.zeros((4, 2)))
-    with pytest.raises(ValueError, match="out of range"):
-        nx.embedding(table, np.array([0, 4]))
-
-
 # --- randomized per-op gradient checks -------------------------------------
 # every differentiable op, small random shapes (dims <= 6), >= 100 trials total
 
@@ -228,8 +222,10 @@ def _case_softmax(rng):
     shape = _dims(rng, 3)
     a = rng.normal(scale=2.0, size=shape)
     tau = float(rng.uniform(0.5, 2.0))
+    mask = np.where(rng.random(shape[-2:]) < 0.3, -1e30, rng.normal(size=shape[-2:]))
+    mask[:, int(rng.integers(shape[-1]))] = 0.0  # every row keeps a finite entry
     c = rng.normal(size=shape)
-    return lambda a: _weighted_sum(nx.softmax_lastdim(a, tau), c), [a]
+    return lambda a: _weighted_sum(nx.softmax_lastdim(a, tau, mask), c), [a]
 
 
 def _case_silu(rng):
@@ -251,12 +247,13 @@ def _case_layer_norm(rng):
     )
 
 
-def _case_embedding(rng):
+def _case_take_rows(rng):
     v, d = int(rng.integers(2, 7)), int(rng.integers(1, 7))
     table = rng.normal(size=(v, d))
     ids = rng.integers(0, v, size=_dims(rng, 2))
+    ids.flat[-1] = ids.flat[0]  # a repeated id accumulates two gradient rows
     c = rng.normal(size=(*ids.shape, d))
-    return lambda table: _weighted_sum(nx.embedding(table, ids), c), [table]
+    return lambda table: _weighted_sum(nx.take_rows(table, ids), c), [table]
 
 
 def _case_take_scatter_rows(rng):
@@ -305,14 +302,6 @@ def _case_cross_entropy(rng):
     return lambda logits: nx.cross_entropy(logits, targets), [logits]
 
 
-def _case_cross_entropy_padded(rng):
-    n, v = int(rng.integers(3, 7)), int(rng.integers(2, 7))
-    logits = rng.normal(size=(n, v))
-    targets = rng.integers(0, v, size=n)
-    targets[0] = v  # pad id outside vocab, excluded from the loss
-    return lambda logits: nx.cross_entropy(logits, targets, pad_id=v), [logits]
-
-
 def _case_consecutive_diff(rng):
     b, t, e = _dims(rng, 3)
     t = max(t, 2)
@@ -333,17 +322,16 @@ OP_CASES = [
     _case_softmax,
     _case_silu,
     _case_layer_norm,
-    _case_embedding,
+    _case_take_rows,
     _case_take_scatter_rows,
     _case_take_along_lastdim,
     _case_concat_rows,
     _case_reshape_swap,
     _case_cross_entropy,
-    _case_cross_entropy_padded,
     _case_consecutive_diff,
 ]
 
-TRIALS_PER_OP = 6  # 19 ops x 6 = 114 randomized trials
+TRIALS_PER_OP = 6  # 18 ops x 6 = 108 randomized trials
 
 
 @pytest.mark.parametrize("case", OP_CASES, ids=lambda c: c.__name__)

@@ -271,14 +271,27 @@ def test_seq_len_sets_model_and_train_config(tmp_path, corpus_file, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["batch_size = 0", "lr = -0.001", "lr = nan", "warmup_steps = -1",
-     "eval_batches = 0", "eval_interval = 0"],
+    ["batch_size = 0", "lr = -0.001", "lr = nan", "lr = inf", "warmup_steps = -1",
+     "eval_batches = 0", "eval_interval = 0", "temperature = inf", "temperature = 0",
+     "temperature = nan", "lb_coef = nan", "lb_coef = -0.1", "bles_coef = inf",
+     "beta1 = 1.0", "beta1 = -0.1", "beta2 = 1.0", "beta2 = nan", "adam_eps = 0",
+     "adam_eps = nan", "min_lr_frac = 3", "min_lr_frac = -0.5", "min_lr_frac = nan",
+     "grad_clip = -1", "grad_clip = inf", "grad_clip = nan"],
 )
 def test_config_file_rejects_out_of_range_train_fields(tmp_path, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
     with pytest.raises(DataError, match="invalid configuration"):
         load_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "line", ["grad_clip = 0", "lr = 0", "beta1 = 0", "min_lr_frac = 0", "min_lr_frac = 1"]
+)
+def test_config_file_accepts_range_edges(tmp_path, line):
+    path = tmp_path / "edge.cfg"
+    path.write_text(line + "\n")
+    load_config_file(path)
 
 
 def test_sample_batch_takes_a_stream_of_exactly_one_window():
