@@ -12,13 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ModelConfig
 from .errors import DataError
 from .fixtures import run_reference_checks
 from .model import TransformerLM
 from .offload_sim import OffloadCostModel, OffloadReport, read_trace, replay_offload, write_trace
 from .trainer import (
     TrainConfig,
+    configure,
     decode_ids,
     encode_text,
     evaluate,
@@ -52,33 +52,16 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output directory")
 
 
-def _configs_from_args(args) -> tuple[ModelConfig, TrainConfig]:
+# config fields that _add_config_flags exposes, by their argparse dest
+_FLAG_KEYS = ("corpus", "seed", "steps", "experts", "active", "expert_kind", "rank",
+              "lb_coef", "bles_coef")
+
+
+def _configs_from_args(args):
+    flags = {k: getattr(args, k) for k in _FLAG_KEYS if getattr(args, k) is not None}
     if args.config:
-        model_cfg, train_cfg = load_config_file(args.config)
-    else:
-        model_cfg, train_cfg = ModelConfig(dtype="float32"), TrainConfig()
-    overrides = {
-        "seed": args.seed,
-        "steps": args.steps,
-        "corpus": args.corpus,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(train_cfg, key, value)
-    model_overrides = {
-        "experts": args.experts,
-        "active": args.active,
-        "expert_kind": args.expert_kind,
-        "rank": args.rank,
-        "lb_coef": args.lb_coef,
-        "bles_coef": args.bles_coef,
-    }
-    for key, value in model_overrides.items():
-        if value is not None:
-            setattr(model_cfg, key, value)
-    model_cfg.validate()
-    train_cfg.validate()
-    return model_cfg, train_cfg
+        return configure(flags, *load_config_file(args.config))
+    return configure({"dtype": "float32", **flags})
 
 
 def cmd_train(args) -> int:
@@ -114,11 +97,7 @@ def cmd_eval(args) -> int:
 
 def cmd_generate(args) -> int:
     model = TransformerLM.load(args.checkpoint)
-    prompt = encode_text(args.prompt)
-    if prompt.size == 0:
-        print("generate: empty prompt", file=sys.stderr)
-        return 1
-    tokens, trace = model.generate(prompt, args.tokens)
+    tokens, trace = model.generate(encode_text(args.prompt), args.tokens)
     print(decode_ids(tokens))
     if args.trace:
         write_trace(trace, args.trace)

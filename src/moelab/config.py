@@ -1,12 +1,17 @@
-"""Model architecture configuration shared by the expert, model and trainer code."""
+"""Model architecture configuration shared by the expert, model and trainer code.
+
+Configs are frozen: ``__post_init__`` is the only place that validates, and
+every changed copy (``dataclasses.replace``, as ``trainer.configure`` makes
+for config-file keys, CLI flags and experiment variants) runs it again.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Shape and loss hyperparameters of the toy MoE language model.
 
@@ -30,13 +35,10 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.inter == 0:
-            self.inter = 4 * self.hidden
+        if self.inter == 0:  # the instance is frozen, hence object.__setattr__
+            object.__setattr__(self, "inter", 4 * self.hidden)
         if self.rank == 0:
-            self.rank = max(1, self.hidden // 2)
-        self.validate()
-
-    def validate(self) -> None:
+            object.__setattr__(self, "rank", max(1, self.hidden // 2))
         if self.layers < 1 or self.heads < 1 or self.hidden < 1 or self.vocab < 2:
             raise ValueError("layers, heads, hidden must be >= 1 and vocab >= 2")
         if self.hidden % self.heads != 0:
@@ -57,7 +59,3 @@ class ModelConfig:
             raise ValueError("loss coefficients must be finite and non-negative")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
-
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]

@@ -110,10 +110,10 @@ class WDExpert:
         }
 
 
-def make_expert(config: ModelConfig, rng: np.random.Generator, std: float = 0.02):
+def make_expert(config: ModelConfig, rng: np.random.Generator):
     if config.expert_kind == "wd":
-        return WDExpert(config.hidden, config.inter, config.rank, rng, config.dtype, std)
-    return DenseExpert(config.hidden, config.inter, rng, config.dtype, std)
+        return WDExpert(config.hidden, config.inter, config.rank, rng, config.dtype)
+    return DenseExpert(config.hidden, config.inter, rng, config.dtype)
 
 
 def per_expert_param_count(config: ModelConfig) -> int:

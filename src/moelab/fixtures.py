@@ -21,6 +21,7 @@ from .losses import (
     load_balance_loss_model_aggregated,
 )
 from .model import RoutingTrace
+from .numerics import Tensor
 from .offload_sim import calibrate_cost_model, exrep, replay_offload, synthetic_trace
 
 # block-wise-selection model: 11 replacements over 34 token pairs
@@ -134,7 +135,7 @@ def run_reference_checks() -> list[ReferenceCheck]:
     layers, num_experts = 3, 3
     eye = np.eye(num_experts)[:, None, :]  # (layers, B=1, E): layer l picks expert l
     per_layer = [
-        load_balance_loss(eye[l], eye[l], num_experts).item() for l in range(layers)
+        load_balance_loss(eye[l], Tensor(eye[l]), num_experts).item() for l in range(layers)
     ]
     model_level = load_balance_loss_model_aggregated(eye, eye, num_experts)
     checks.append(

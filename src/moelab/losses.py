@@ -11,6 +11,11 @@ The BlES loss is the product of two terms computed over consecutive tokens:
 
 The hard count scales the soft term, so gradient pressure on the router is
 proportional to how much churn the current selections actually exhibit.
+
+Each function takes one type per argument: expert selections as (B, T, K)
+integer arrays (``SelectedExperts.indices``) and routing weights or mean
+probabilities as Tensors (``RoutingWeights.values``); count-based fractions,
+which carry no gradient, are plain arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 from . import _kernels
 from . import numerics as nx
 from .numerics import Tensor
-from .routing import RoutingWeights, SelectedExperts
 
 
 @dataclass
@@ -43,43 +47,31 @@ class BlesBreakdown:
     loss_term: Tensor
 
 
-def _selection_array(selected) -> np.ndarray:
-    if isinstance(selected, SelectedExperts):
-        return selected.indices
-    return np.asarray(selected, dtype=np.int64)
-
-
-def hard_replacements(selected, num_experts: int | None = None) -> tuple[int, float]:
+def hard_replacements(sel: np.ndarray, num_experts: int) -> tuple[int, float]:
     """Count hard expert replacements between consecutive tokens.
 
-    ``selected`` is (B, T, K) integer expert ids (or a SelectedExperts).
-    Returns the raw double-counted transition total H and its normalization
+    ``sel`` is (B, T, K) integer expert ids in [0, num_experts). Returns the
+    raw double-counted transition total H and its normalization
     floor(H / 2) / (B * K * (T - 1)). A single-token sequence has no
     transitions and returns (0, 0.0).
     """
-    sel = _selection_array(selected)
     if sel.ndim != 3:
         raise ValueError(f"selection tensor must be (B, T, K), got {sel.shape}")
     b, t, k = sel.shape
     if t < 2:
         return 0, 0.0
-    if num_experts is None:
-        num_experts = int(sel.max()) + 1
     h = _kernels.transition_count(sel, num_experts)
     h_norm = (h // 2) / (b * k * (t - 1))
     return h, h_norm
 
 
-def soft_selection(weights) -> tuple[Tensor, Tensor]:
+def soft_selection(w: Tensor) -> tuple[Tensor, Tensor]:
     """Total variation of routing weights along the token axis.
 
     L sums |W[b, t+1, e] - W[b, t, e]| over everything; L_norm divides by
     B * T (the printed normalizer, kept as-is even though the hard term
     normalizes by T - 1). Both are differentiable scalar tensors.
     """
-    w = weights.values if isinstance(weights, RoutingWeights) else weights
-    if not isinstance(w, Tensor):
-        w = Tensor(w)
     if w.ndim != 3:
         raise ValueError(f"routing weights must be (B, T, E), got {w.shape}")
     b, t, _ = w.shape
@@ -90,14 +82,15 @@ def soft_selection(weights) -> tuple[Tensor, Tensor]:
     return total, nx.mul(total, 1.0 / (b * t))
 
 
-def bles_loss(weights, selected, num_experts: int | None = None) -> BlesBreakdown:
-    """Block-wise expert selection loss: H_norm * L_norm.
+def bles_loss(weights: Tensor, sel: np.ndarray, num_experts: int) -> BlesBreakdown:
+    """Block-wise expert selection loss: H_norm * L_norm of routing weights
+    (B, T, E) and selections (B, T, K).
 
     H_norm enters as a plain (detached) scalar factor; the gradient of the
     loss with respect to the router logits is exactly H_norm times the
     gradient of L_norm.
     """
-    h, h_norm = hard_replacements(selected, num_experts)
+    h, h_norm = hard_replacements(sel, num_experts)
     l_total, l_norm = soft_selection(weights)
     loss_term = nx.mul(l_norm, h_norm)
     return BlesBreakdown(
@@ -110,7 +103,7 @@ def bles_loss(weights, selected, num_experts: int | None = None) -> BlesBreakdow
     )
 
 
-def load_balance_loss(f: np.ndarray, p, num_experts: int) -> Tensor:
+def load_balance_loss(f: np.ndarray, p: Tensor, num_experts: int) -> Tensor:
     """Sequence-level load balancing loss E * sum_e f_e * P_e.
 
     ``f`` holds count-based assignment fractions (no gradient) and ``p`` the
@@ -118,9 +111,6 @@ def load_balance_loss(f: np.ndarray, p, num_experts: int) -> Tensor:
     leading axes (sequences, layers) are averaged. Minimized at 1.0 when both
     are uniform; a one-hot collapse scores E.
     """
-    f = np.asarray(f.data if isinstance(f, Tensor) else f, dtype=np.float64)
-    if not isinstance(p, Tensor):
-        p = Tensor(p)
     if f.shape != p.shape or f.shape[-1] != num_experts:
         raise ValueError(
             f"f {f.shape} and P {p.shape} must match with last axis {num_experts}"

@@ -248,7 +248,6 @@ class TransformerLM:
     """Character-level causal LM with one MoE FFN per transformer layer."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(seed)
         self.wte = _normal(rng, (config.vocab, config.hidden), config.dtype)
@@ -288,9 +287,7 @@ class TransformerLM:
         logits = nx.matmul(x, self.lm_head)
         return logits, artifacts
 
-    def generate(
-        self, prompt: np.ndarray, n: int, mode: str = "greedy"
-    ) -> tuple[np.ndarray, RoutingTrace]:
+    def generate(self, prompt: np.ndarray, n: int) -> tuple[np.ndarray, RoutingTrace]:
         """Greedy decode ``n`` tokens; the trace covers prompt + generated tokens.
 
         One prefill runs the prompt, then every later position takes one
@@ -302,8 +299,6 @@ class TransformerLM:
         to float reassociation: the steps multiply shorter operands, so sums
         may round differently in the last bits.
         """
-        if mode != "greedy":
-            raise ValueError(f"unsupported generation mode {mode!r}")
         if n < 1:
             raise ValueError("n must be >= 1")
         prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)

@@ -399,8 +399,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _result(data, (logits,), backward)
 
 
-def parameter(data, requires_grad: bool = True) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=requires_grad)
+def parameter(data) -> Tensor:
+    return Tensor(np.asarray(data), requires_grad=True)
 
 
 def finite_difference_grad(

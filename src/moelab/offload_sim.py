@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,13 +334,17 @@ def read_trace(path) -> RoutingTrace:
     layers, tokens, k, num_experts = sizes
     if min(sizes) < 1:
         raise DataError(f"{path}: line 1: header fields must be positive")
+    if k > num_experts:  # ids are distinct, so no record could be valid
+        raise DataError(f"{path}: line 1: active={k} exceeds experts={num_experts}")
+    if num_experts > np.iinfo(np.int64).max:  # ids are stored as int64
+        raise DataError(f"{path}: line 1: experts={num_experts} does not fit in int64")
 
     expected = layers * tokens
     if len(lines) - 1 != expected:
         raise DataError(
             f"{path}: expected {expected} records after the header, got {len(lines) - 1}"
         )
-    sel = np.full((layers, tokens, k), -1, dtype=np.int64)
+    rows, ids_seen = array("q"), array("q")  # int64 buffers: no object per id
     for i, text in enumerate(lines[1:], start=2):
         rec = parse(i, text)
         t, l, ids = rec.get("token"), rec.get("layer"), rec.get("experts")
@@ -361,7 +366,12 @@ def read_trace(path) -> RoutingTrace:
                 )
         if len(set(ids)) != k:
             raise DataError(f"{path}: line {i}: duplicate expert ids {ids}")
-        sel[l, t] = ids
+        rows.append(l * tokens + t)
+        ids_seen.extend(ids)
+    # allocated only now that every record has shown k ids: the header alone
+    # cannot make this array larger than the file
+    sel = np.full((layers * tokens, k), -1, dtype=np.int64)
+    sel[np.frombuffer(rows, np.int64)] = np.frombuffer(ids_seen, np.int64).reshape(-1, k)
     if (sel < 0).any():
         raise DataError(f"{path}: missing records for some (token, layer) pairs")
-    return RoutingTrace(selections=sel, num_experts=num_experts)
+    return RoutingTrace(selections=sel.reshape(layers, tokens, k), num_experts=num_experts)

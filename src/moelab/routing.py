@@ -35,7 +35,6 @@ class RoutingWeights:
     """Softmax routing probabilities, shape (B, T, E); rows sum to 1."""
 
     values: Tensor
-    temperature: float = 1.0
 
 
 @dataclass
@@ -74,7 +73,7 @@ def route(
 
     taken = nx.take_along_lastdim(weights, indices)
     gates = nx.div(taken, nx.sum_(taken, axis=-1, keepdims=True))
-    return RoutingWeights(weights, temperature), SelectedExperts(indices, gates)
+    return RoutingWeights(weights), SelectedExperts(indices, gates)
 
 
 def expert_load_fractions(

@@ -7,12 +7,11 @@ reproduces the metrics stream bit for bit.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ SPLIT_BLOCK = 256  # corpus split granularity in tokens
 lm_cross_entropy = nx.cross_entropy  # compute_losses calls it through this module name
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Everything the optimization loop needs besides the model shape.
 
@@ -59,9 +58,6 @@ class TrainConfig:
     eval_batches: int = 8
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.seq_len < 2:
@@ -86,22 +82,42 @@ class TrainConfig:
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
+
+# field name -> annotation ("int", "float" or "str")
+_MODEL_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
+_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+
+
+def _split_overrides(overrides: dict) -> tuple[dict, dict]:
+    """Send each key to the config that has the field (``seq_len`` to both);
+    an unknown key raises ValueError."""
+    unknown = overrides.keys() - _MODEL_FIELDS.keys() - _TRAIN_FIELDS.keys()
+    if unknown:
+        raise ValueError(f"unknown override {min(unknown)!r}")
+    return ({k: v for k, v in overrides.items() if k in _MODEL_FIELDS},
+            {k: v for k, v in overrides.items() if k in _TRAIN_FIELDS})
+
+
+def configure(overrides: dict, model_cfg: ModelConfig | None = None,
+              train_cfg: TrainConfig | None = None) -> tuple[ModelConfig, TrainConfig]:
+    """Config-file keys, CLI flags and experiment variants all apply here:
+    ``dataclasses.replace`` copies of the given configs, or new configs where
+    none is given, each validated by its ``__post_init__``."""
+    model_kw, train_kw = _split_overrides(overrides)
+    return (
+        ModelConfig(**model_kw) if model_cfg is None else replace(model_cfg, **model_kw),
+        TrainConfig(**train_kw) if train_cfg is None else replace(train_cfg, **train_kw),
+    )
 
 
 def load_config_file(path) -> tuple[ModelConfig, TrainConfig]:
     """Parse a `key = value` config file into the two config objects.
 
     Lines starting with '#' and blank lines are ignored. Keys are the union of
-    ModelConfig and TrainConfig field names; anything else is rejected. A key
-    both configs have (``seq_len``) sets it in both.
+    ModelConfig and TrainConfig field names; anything else is rejected with its
+    line. The keys go through ``configure``.
     """
-    model_fields = {f.name: f.type for f in fields(ModelConfig)}
-    train_fields = {f.name: f.type for f in fields(TrainConfig)}
-    model_kwargs: dict = {}
-    train_kwargs: dict = {}
+    values: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -113,22 +129,15 @@ def load_config_file(path) -> tuple[ModelConfig, TrainConfig]:
         if "=" not in line:
             raise DataError(f"{path}: line {i}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        hint = model_fields.get(key, train_fields.get(key))
+        hint = _MODEL_FIELDS.get(key, _TRAIN_FIELDS.get(key))
         if hint is None:
             raise DataError(f"{path}: line {i}: unknown key {key!r}")
         try:
-            if hint in ("int", int):
-                value = int(value)
-            elif hint in ("float", float):
-                value = float(value)
+            values[key] = {"int": int, "float": float}.get(hint, str)(value)
         except ValueError as exc:
             raise DataError(f"{path}: line {i}: bad value for {key} ({exc})") from exc
-        if key in model_fields:
-            model_kwargs[key] = value
-        if key in train_fields:
-            train_kwargs[key] = value
     try:
-        return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
+        return configure(values)
     except ValueError as exc:
         raise DataError(f"{path}: invalid configuration ({exc})") from exc
 
@@ -150,7 +159,6 @@ class Corpus:
 
     train_ids: np.ndarray
     val_ids: np.ndarray
-    vocab: int = 256
 
     def split_hashes(self) -> tuple[str, str]:
         return (
@@ -323,7 +331,7 @@ def compute_losses(model: TransformerLM, x: np.ndarray, y: np.ndarray):
         f, p = expert_load_fractions(selected, weights)
         lb_l = load_balance_loss(f, p, mcfg.experts)
         lb_sum = lb_l if lb_sum is None else nx.add(lb_sum, lb_l)
-        br = bles_loss(weights, selected, mcfg.experts)
+        br = bles_loss(weights.values, selected.indices, mcfg.experts)
         h_norms.append(br.H_norm)
         bles_sum = br.loss_term if bles_sum is None else nx.add(bles_sum, br.loss_term)
     lb = nx.mul(lb_sum, 1.0 / n_layers)
@@ -360,10 +368,10 @@ def train_step(
     return metrics
 
 
-def default_cost_model(config: ModelConfig, bytes_per_param: float = 4.0,
-                       bandwidth: float = 1e9) -> OffloadCostModel:
+def default_cost_model(config: ModelConfig) -> OffloadCostModel:
     """Cost model for desk experiments: compute per token equals the time to
     swap one full resident set, so tokens/sec responds visibly to churn."""
+    bytes_per_param, bandwidth = 4.0, 1e9  # float32 weights over 1 GB/s
     expert_bytes = per_expert_param_count(config) * bytes_per_param
     return OffloadCostModel(
         expert_bytes=expert_bytes,
@@ -417,10 +425,10 @@ def train(
     train_cfg: TrainConfig,
     corpus: Corpus | None = None,
     out_dir=None,
-    log_every: int = 100,
     quiet: bool = False,
 ) -> tuple[TransformerLM, dict, list[dict]]:
-    """Full training run; returns (model, final eval metrics, metrics history)."""
+    """Full training run; returns (model, final eval metrics, metrics history).
+    Unless ``quiet``, prints a progress line every 100 steps and at the end."""
     if corpus is None:
         corpus = ingest_corpus(train_cfg.corpus, train_cfg.val_frac, train_cfg.seed)
     if train_cfg.seq_len > model_cfg.seq_len:
@@ -448,7 +456,7 @@ def train(
             history.append(metrics)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(metrics) + "\n")
-            if not quiet and (step % log_every == 0 or step == train_cfg.steps - 1):
+            if not quiet and (step % 100 == 0 or step == train_cfg.steps - 1):
                 print(
                     f"step {step:5d} | lr {metrics['lr']:.2e} | ce {metrics['ce']:.4f} "
                     f"| lb {metrics['lb']:.3f} | bles {metrics['bles']:.4f} "
@@ -476,34 +484,24 @@ def run_experiment(
     train_cfg: TrainConfig,
     variants: list[tuple[str, dict]],
     out_dir=None,
-    quiet: bool = True,
 ) -> list[dict]:
-    """Train every variant on the same seed and data; emit one comparison row each.
+    """Train every variant on the same seed and data, quietly; emit one
+    comparison row each.
 
-    Variant overrides may name any ModelConfig or TrainConfig field; a field
-    both configs have (``seq_len``) is set in both. A failing variant is
-    reported in its row and does not stop the others.
+    Variant overrides go through ``configure``. An unknown key raises
+    ValueError before any variant trains; any other failure is reported in
+    its variant's row and does not stop the others.
     """
+    for _, overrides in variants:
+        _split_overrides(overrides)
     corpus = ingest_corpus(train_cfg.corpus, train_cfg.val_frac, train_cfg.seed)
-    model_names = set(ModelConfig.field_names())
-    train_names = set(TrainConfig.field_names())
     rows: list[dict] = []
     for name, overrides in variants:
-        mc = copy.deepcopy(model_cfg)
-        tc = copy.deepcopy(train_cfg)
-        for key, value in overrides.items():
-            if key not in model_names | train_names:
-                raise ValueError(f"variant {name!r}: unknown override {key!r}")
-            if key in model_names:
-                setattr(mc, key, value)
-            if key in train_names:
-                setattr(tc, key, value)
         row = {"variant": name, "status": "ok"}
         try:
-            mc.validate()
-            tc.validate()
+            mc, tc = configure(overrides, model_cfg, train_cfg)
             variant_dir = None if out_dir is None else Path(out_dir) / name
-            _, final, _ = train(mc, tc, corpus=corpus, out_dir=variant_dir, quiet=quiet)
+            _, final, _ = train(mc, tc, corpus=corpus, out_dir=variant_dir, quiet=True)
             row.update({k: final[k] for k in EXPERIMENT_FIELDS if k in final})
         except Exception as exc:  # isolate variant failures
             row["status"] = f"failed: {exc}"

@@ -3,9 +3,11 @@
 perfbench/tracer.py rebinds moelab entry points by module attribute and
 perfbench/run.py records ``_kernels.USE_NUMBA`` in its run manifest. Deleting
 or renaming one of those names, or changing the signature of a method the
-tracer wraps, fails here, not in every benchmark run.
+tracer wraps, fails here, not in every benchmark run. So does a change that
+stops perfbench/workloads.py from varying the frozen desk configs its way.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import numpy as np
 
 import moelab
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -73,3 +76,20 @@ def test_workload_calls_run_under_the_patches(tmp_path):
                  "offload_sim.read", "trainer.forward", "trainer.backward", "trainer.evaluate"):
         assert tr.sink.calls[name] > 0, name
     assert not tr.stack
+
+
+def test_desk_configs_vary_the_way_the_workloads_do(tmp_path):
+    """``workloads._desk`` and ``Train.setup``: load configs/desk.cfg, then
+    ``dataclasses.replace`` on both configs; ``Replay.setup`` builds a
+    ModelConfig for ``default_cost_model`` and run.py records ``asdict``."""
+    trainer = moelab.trainer
+    mc, tc = trainer.load_config_file(ROOT / "configs" / "desk.cfg")
+    mc = dataclasses.replace(mc, expert_kind="wd")
+    tc = dataclasses.replace(tc, corpus=str(tmp_path / "corpus.txt"), seed=3)
+    assert (mc.expert_kind, mc.rank, mc.dtype) == ("wd", 32, "float32")
+    assert (tc.corpus, tc.seed, tc.seq_len) == (str(tmp_path / "corpus.txt"), 3, mc.seq_len)
+    model = moelab.model.TransformerLM(mc, seed=tc.seed)
+    trainer.Optimizer(model, tc)
+    assert dataclasses.asdict(model.config)["expert_kind"] == "wd"
+    cost_cfg = moelab.config.ModelConfig(layers=24, experts=64, active=8)
+    assert trainer.default_cost_model(cost_cfg).bandwidth > 0

@@ -138,6 +138,16 @@ def test_generate_and_trace_file(run_dir, tmp_path, capsys):
     assert (tmp_path / "offload_report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--prompt", ""], "prompt must contain"), (["--prompt", "Toza", "--tokens", "0"], "n must be")],
+    ids=["empty-prompt", "zero-tokens"],
+)
+def test_generate_bad_parameters_exit_1(run_dir, capsys, args, message):
+    assert main(["generate", "--checkpoint", str(run_dir / "checkpoint.npz"), *args]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_offload_fixture_trace(tmp_path, capsys):
     trace = fixtures.bundled_traces()["bles"]
     path = tmp_path / "bles.trace"

@@ -95,12 +95,12 @@ def test_bles_gradient_is_hnorm_times_soft_gradient():
     logits = rng.normal(size=(2, 5, 4))
     x1 = nx.parameter(logits.copy())
     w1, sel1 = route(x1, 1.0, 2)
-    br = bles_loss(w1, sel1, 4)
+    br = bles_loss(w1.values, sel1.indices, 4)
     br.loss_term.backward()
 
     x2 = nx.parameter(logits.copy())
     w2, _ = route(x2, 1.0, 2)
-    _, l_norm = soft_selection(w2)
+    _, l_norm = soft_selection(w2.values)
     l_norm.backward()
 
     assert br.H_norm > 0
@@ -166,7 +166,7 @@ def test_total_loss_gradient_is_weighted_sum():
 
         f, p = expert_load_fractions(sel, w)
         lb = load_balance_loss(f, p, 3)
-        br = bles_loss(w, sel, 3)
+        br = bles_loss(w.values, sel.indices, 3)
         total_loss(ce_like, lb, br.loss_term, alpha_lb, lambda_bles).backward()
         return x.grad.copy()
 

@@ -1,6 +1,7 @@
 """Offload replay: swap accounting, latency model, metrics, trace files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,12 +274,45 @@ def test_trace_file_errors_name_the_line(tmp_path):
         with pytest.raises(DataError, match=f"line 1.*{field}={json.dumps(value)} is not an integer"):
             read_trace(path)
 
+    path.write_text(json.dumps({"format": "moelab-trace-v1", **sizes, "active": 5}) + "\n" + records)
+    with pytest.raises(DataError, match="line 1.*active=5 exceeds experts=4"):
+        read_trace(path)
+
+    path.write_text(_huge_active_trace())
+    with pytest.raises(DataError, match="line 2.*expected 10000000 expert ids"):
+        read_trace(path)
+
+    path.write_text(json.dumps({"format": "moelab-trace-v1", **sizes, "experts": 2**64}) + "\n"
+                    + '{"token": 0, "layer": 0, "experts": [0, 18446744073709551615]}\n' * 2)
+    with pytest.raises(DataError, match="line 1.*does not fit in int64"):
+        read_trace(path)
+
     for record in ('{"token": 1.7, "layer": 0, "experts": [0, 1]}',
                    '{"token": 1, "layer": false, "experts": [0, 1]}',
                    '{"layer": 0, "experts": [0, 1]}'):
         path.write_text(header + '{"token": 0, "layer": 0, "experts": [0, 1]}\n' + record + "\n")
         with pytest.raises(DataError, match="line 3.*must be integers"):
             read_trace(path)
+
+
+def _huge_active_trace() -> str:
+    """A header claiming 10**7 active experts, refuted by its one 2-id record."""
+    header = {"format": "moelab-trace-v1", "layers": 1, "tokens": 1,
+              "active": 10**7, "experts": 2 * 10**7}
+    return json.dumps(header) + '\n{"token": 0, "layer": 0, "experts": [0, 1]}\n'
+
+
+def test_trace_header_sizes_allocate_nothing_before_the_records(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(_huge_active_trace())
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB before the first record was checked"
 
 
 def test_malformed_selection_tensor_rejected():

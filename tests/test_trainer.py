@@ -1,6 +1,7 @@
 """Ingestion, optimization semantics, determinism, the experiment harness."""
 
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from moelab.trainer import (
     Optimizer,
     TrainConfig,
     compute_losses,
+    configure,
     encode_text,
     decode_ids,
     evaluate,
@@ -212,11 +214,45 @@ def test_run_experiment_is_repeatable(corpus_file):
         assert r1 == r2
 
 
-def test_run_experiment_rejects_unknown_override(corpus_file):
-    with pytest.raises(ValueError, match="unknown override"):
-        run_experiment(
-            small_model_cfg(), small_train_cfg(corpus_file), [("x", {"nope": 1})]
-        )
+def test_run_experiment_rejects_unknown_override(tmp_path, corpus_file):
+    variants = [("first", {"bles_coef": 0.0}), ("typo", {"bles_cof": 0.0})]
+    with pytest.raises(ValueError, match="unknown override 'bles_cof'"):
+        run_experiment(small_model_cfg(), small_train_cfg(corpus_file, steps=1), variants,
+                       out_dir=tmp_path / "exp")
+    assert not (tmp_path / "exp").exists()  # rejected before any variant trained
+
+
+def test_configs_are_frozen():
+    for cfg, field in ((small_model_cfg(), "experts"), (TrainConfig(), "steps")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, 3)
+    with pytest.raises(ValueError, match="active=9"):
+        configure({"active": 9}, small_model_cfg())  # a copy is validated too
+
+
+def test_zero_rank_and_inter_mean_the_default_on_every_path(tmp_path, corpus_file):
+    """hidden=16 gives inter 4 * 16 = 64 and rank 16 // 2 = 8."""
+    shape = dict(hidden=16, heads=2, experts=4, seq_len=16, expert_kind="wd")
+    constructed = ModelConfig(**shape, inter=0, rank=0)
+    assert (constructed.inter, constructed.rank) == (64, 8)
+
+    path = tmp_path / "zero.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in shape.items()) + "inter = 0\nrank = 0\n"
+                    f"corpus = {corpus_file}\nsteps = 1\nbatch_size = 2\neval_batches = 1\n")
+    from_file, _ = load_config_file(path)
+    assert from_file == constructed
+
+    base = ModelConfig(**shape, inter=32, rank=4)
+    assert configure({"inter": 0, "rank": 0}, base)[0] == constructed
+
+    out = tmp_path / "cli"
+    assert main(["train", "--config", str(path), "--rank", "0", "--out", str(out)]) == 0
+    assert TransformerLM.load(out / "checkpoint.npz").config.rank == 8
+
+    rows = run_experiment(base, small_train_cfg(corpus_file, steps=1),
+                          [("rank0", {"rank": 0})], out_dir=tmp_path / "exp")
+    assert rows[0]["status"] == "ok"
+    assert TransformerLM.load(tmp_path / "exp" / "rank0" / "checkpoint.npz").config.rank == 8
 
 
 def test_load_config_file(tmp_path, corpus_file):
