@@ -2,7 +2,9 @@
 
 Callers look each kernel up as ``_kernels.<name>`` at call time, so a kernel
 can be swapped for an instrumented or faster version by rebinding the module
-attribute.
+attribute. The selection counters compare each token's K ids with its
+predecessor's, so their memory grows with the selections, never with the
+expert count.
 """
 
 from __future__ import annotations
@@ -11,13 +13,6 @@ import numpy as np
 
 # Kept for run manifests that record the kernel backend; numpy is the only one.
 USE_NUMBA = False
-
-
-def _as_int64(a):
-    a = np.asarray(a)
-    if a.dtype != np.int64:
-        a = a.astype(np.int64)
-    return np.ascontiguousarray(a)
 
 
 # ---------------------------------------------------------------------------
@@ -44,46 +39,41 @@ def scatter_add_pairs(out, row_idx, col_idx, vals):
 # selection-trace counting
 
 
-def transition_count(sel, num_experts):
+def _found_in(ids, pool):
+    """ids[..., i] in pool[..., :] for every i; both are (..., K) over the same rows."""
+    hit = ids == pool[..., :1]
+    for j in range(1, pool.shape[-1]):
+        hit |= ids == pool[..., j : j + 1]
+    return hit
+
+
+def transition_count(sel):
     """Double-counted expert transitions in a selection tensor.
 
-    ``sel`` is (B, T, K) integer expert ids. Builds the K-hot activation
-    mask per token and sums absolute consecutive differences over batch,
-    tokens and experts. A single expert swap contributes 2.
+    ``sel`` is (B, T, K) integer expert ids, K distinct per token. Counts the
+    ids that arrive plus the ids that depart between consecutive tokens, so a
+    single expert swap contributes 2.
     """
-    sel = _as_int64(sel)
-    b, t, k = sel.shape
-    if t < 2:
-        return 0
-    hot = np.zeros((b, t, num_experts), dtype=np.int64)
-    bi = np.arange(b)[:, None, None]
-    ti = np.arange(t)[None, :, None]
-    hot[bi, ti, sel] = 1
-    return int(np.abs(hot[:, 1:] - hot[:, :-1]).sum())
+    prev, cur = sel[:, :-1], sel[:, 1:]
+    return int((~_found_in(cur, prev)).sum() + (~_found_in(prev, cur)).sum())
 
 
-def swap_in_counts(sel, num_experts):
+def swap_in_counts(sel):
     """Per-token count of experts swapped in relative to the previous token.
 
     ``sel`` is (L, T, K) for L layers. Returns (L, T) int64 where entry
     [l, 0] is K (cold start: the whole resident set is loaded) and entry
     [l, t] is |sel[l, t] \\ sel[l, t-1]|.
     """
-    sel = _as_int64(sel)
     l, t, k = sel.shape
-    hot = np.zeros((l, t, num_experts), dtype=bool)
-    li = np.arange(l)[:, None, None]
-    ti = np.arange(t)[None, :, None]
-    hot[li, ti, sel] = True
     counts = np.empty((l, t), dtype=np.int64)
     counts[:, 0] = k
-    counts[:, 1:] = (hot[:, 1:] & ~hot[:, :-1]).sum(axis=2)
+    counts[:, 1:] = k - _found_in(sel[:, 1:], sel[:, :-1]).sum(axis=2)
     return counts
 
 
 def usage_counts(sel, num_experts):
     """Per-sequence expert assignment counts: (B, T, K) ids -> (B, E) counts."""
-    sel = _as_int64(sel)
     b = sel.shape[0]
     flat = sel.reshape(b, -1) + np.arange(b, dtype=np.int64)[:, None] * num_experts
     return np.bincount(flat.ravel(), minlength=b * num_experts).reshape(b, num_experts)

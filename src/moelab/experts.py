@@ -15,7 +15,10 @@ from .config import ModelConfig
 from .numerics import Tensor
 
 
-def _normal(rng: np.random.Generator, shape, std: float, dtype: str) -> Tensor:
+INIT_STD = 0.02
+
+
+def _normal(rng: np.random.Generator, shape, dtype: str, std: float = INIT_STD) -> Tensor:
     return nx.parameter(rng.normal(0.0, std, size=shape).astype(dtype))
 
 
@@ -28,13 +31,12 @@ class DenseExpert:
         inter: int,
         rng: np.random.Generator,
         dtype: str = "float64",
-        std: float = 0.02,
     ):
         self.hidden = hidden
         self.inter = inter
-        self.w_gate = _normal(rng, (hidden, inter), std, dtype)
-        self.w_up = _normal(rng, (hidden, inter), std, dtype)
-        self.w_down = _normal(rng, (inter, hidden), std, dtype)
+        self.w_gate = _normal(rng, (hidden, inter), dtype)
+        self.w_up = _normal(rng, (hidden, inter), dtype)
+        self.w_down = _normal(rng, (inter, hidden), dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.hidden:
@@ -54,7 +56,7 @@ class WDExpert:
     """Weight-decomposed expert: every projection is a rank-r factor pair.
 
     Each projection applies as (x @ L) @ R. Factors are initialized from a
-    zero-mean normal with std base_std / sqrt(r), which keeps the implied
+    zero-mean normal with std INIT_STD / sqrt(r), which keeps the implied
     product matrices small at init; the residual stream carries the signal
     until the experts grow into it.
     """
@@ -66,20 +68,19 @@ class WDExpert:
         rank: int,
         rng: np.random.Generator,
         dtype: str = "float64",
-        std: float = 0.02,
     ):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.hidden = hidden
         self.inter = inter
         self.rank = rank
-        fstd = std / np.sqrt(rank)
-        self.l_gate = _normal(rng, (hidden, rank), fstd, dtype)
-        self.r_gate = _normal(rng, (rank, inter), fstd, dtype)
-        self.l_up = _normal(rng, (hidden, rank), fstd, dtype)
-        self.r_up = _normal(rng, (rank, inter), fstd, dtype)
-        self.l_down = _normal(rng, (inter, rank), fstd, dtype)
-        self.r_down = _normal(rng, (rank, hidden), fstd, dtype)
+        fstd = INIT_STD / np.sqrt(rank)
+        self.l_gate = _normal(rng, (hidden, rank), dtype, fstd)
+        self.r_gate = _normal(rng, (rank, inter), dtype, fstd)
+        self.l_up = _normal(rng, (hidden, rank), dtype, fstd)
+        self.r_up = _normal(rng, (rank, inter), dtype, fstd)
+        self.l_down = _normal(rng, (inter, rank), dtype, fstd)
+        self.r_down = _normal(rng, (rank, hidden), dtype, fstd)
 
     @classmethod
     def from_factors(cls, factors: dict[str, np.ndarray]) -> "WDExpert":

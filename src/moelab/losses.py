@@ -53,14 +53,15 @@ def hard_replacements(sel: np.ndarray, num_experts: int) -> tuple[int, float]:
     ``sel`` is (B, T, K) integer expert ids in [0, num_experts). Returns the
     raw double-counted transition total H and its normalization
     floor(H / 2) / (B * K * (T - 1)). A single-token sequence has no
-    transitions and returns (0, 0.0).
+    transitions and returns (0, 0.0). ``num_experts`` sizes nothing: the
+    count compares ids, so it holds for any expert count.
     """
     if sel.ndim != 3:
         raise ValueError(f"selection tensor must be (B, T, K), got {sel.shape}")
     b, t, k = sel.shape
     if t < 2:
         return 0, 0.0
-    h = _kernels.transition_count(sel, num_experts)
+    h = _kernels.transition_count(sel)
     h_norm = (h // 2) / (b * k * (t - 1))
     return h, h_norm
 
@@ -88,7 +89,8 @@ def bles_loss(weights: Tensor, sel: np.ndarray, num_experts: int) -> BlesBreakdo
 
     H_norm enters as a plain (detached) scalar factor; the gradient of the
     loss with respect to the router logits is exactly H_norm times the
-    gradient of L_norm.
+    gradient of L_norm. ``num_experts`` sizes nothing, as in
+    ``hard_replacements``.
     """
     h, h_norm = hard_replacements(sel, num_experts)
     l_total, l_norm = soft_selection(weights)

@@ -19,12 +19,11 @@ import numpy as np
 from . import numerics as nx
 from .config import ModelConfig
 from .errors import DataError
-from .experts import make_expert
+from .experts import _normal, make_expert
 from .numerics import Tensor
 from .routing import RouterLogits, RoutingWeights, SelectedExperts, route
 
 CHECKPOINT_MAGIC = "moelab-ckpt-v1"
-INIT_STD = 0.02
 
 
 @dataclass
@@ -40,12 +39,10 @@ class RoutingTrace:
             raise DataError(
                 f"trace selections must be (layers, T, K), got {self.selections.shape}"
             )
-        if self.selections.size and (
-            self.selections.min() < 0 or self.selections.max() >= self.num_experts
-        ):
-            raise DataError(
-                f"trace contains expert ids outside [0, {self.num_experts})"
-            )
+        if self.selections.size == 0:
+            raise DataError(f"trace selections are empty: {self.selections.shape}")
+        if self.selections.min() < 0 or self.selections.max() >= self.num_experts:
+            raise DataError(f"trace contains expert ids outside [0, {self.num_experts})")
 
     @property
     def layers(self) -> int:
@@ -72,10 +69,6 @@ def _config_from_json(path, text: str) -> ModelConfig:
         if kind is None or not (type(value) is kind or kind is float and type(value) is int):
             raise DataError(f"{path}: bad checkpoint config entry {key}={value!r}")
     return ModelConfig(**raw)
-
-
-def _normal(rng: np.random.Generator, shape, dtype: str, std: float = INIT_STD) -> Tensor:
-    return nx.parameter(rng.normal(0.0, std, size=shape).astype(dtype))
 
 
 class LayerNorm:

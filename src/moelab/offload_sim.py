@@ -8,6 +8,10 @@ second is tokens / decode time; the cold-start load of the first token's
 resident set is charged separately as prefill and never counted as a
 replacement, since replacements only compare consecutive token pairs.
 
+One ``_kernels.swap_in_counts`` pass per replay gives both the swap events and
+ExRep. Every metric here counts the expert ids present in the trace, so a
+replay's memory is bounded by the trace, not by its expert count.
+
 Absolute tokens/sec from published hardware runs are not reproducible here;
 only ratios between traces replayed under one cost model are meaningful.
 """
@@ -15,6 +19,7 @@ only ratios between traces replayed under one cost model are meaningful.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -23,7 +28,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError
-from .losses import hard_replacements
 from .model import RoutingTrace
 
 TRACE_MAGIC = "moelab-trace-v1"
@@ -46,8 +50,8 @@ class OffloadCostModel:
 
     def __post_init__(self) -> None:
         for name in ("expert_bytes", "bandwidth", "compute_per_token", "shared_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be positive and finite")
 
     def swap_seconds(self, experts_in: int) -> float:
         return experts_in * self.expert_bytes / self.bandwidth
@@ -111,27 +115,18 @@ class OffloadReport:
         return "\n".join(lines)
 
 
-def _validate_trace(trace: RoutingTrace) -> None:
-    sel = trace.selections
-    if sel.shape[1] < 1:
-        raise DataError("trace has no tokens")
-    if sel.min(initial=0) < 0 or sel.max(initial=0) >= trace.num_experts:
-        raise DataError(f"trace expert ids outside [0, {trace.num_experts})")
-
-
 def replay_offload(trace: RoutingTrace, cost: OffloadCostModel) -> OffloadReport:
     """Fold the offloading rule over a trace and price every transfer."""
-    _validate_trace(trace)
     sel = trace.selections
     layers, tokens, k = sel.shape
-    counts = _kernels.swap_in_counts(sel, trace.num_experts)
-    swap_events = int(counts[:, 1:].sum()) if tokens > 1 else 0
+    counts = _kernels.swap_in_counts(sel)
+    swap_events = int(counts[:, 1:].sum())
 
     prefill_seconds = cost.swap_seconds(layers * k)
     decode_seconds = tokens * cost.compute_per_token + cost.swap_seconds(swap_events)
     overall, per_layer = delta_uniform(trace)
     return OffloadReport(
-        exrep_pct=exrep(trace),
+        exrep_pct=_exrep_from_counts(counts),
         swap_events=swap_events,
         tokens_per_sec=tokens / decode_seconds,
         peak_resident_bytes=int(round(cost.shared_bytes + layers * k * cost.expert_bytes)),
@@ -157,32 +152,39 @@ def resident_set_sizes(trace: RoutingTrace) -> np.ndarray:
 def exrep(trace: RoutingTrace) -> float:
     """Percentage of realized expert replacements, averaged over layers.
 
-    Per layer: 100 * floor(H / 2) / (K * (T - 1)) with H the double-counted
-    transition total; shares its integer numerator with hard_replacements.
+    Per layer: 100 * arrivals / (K * (T - 1)), where the arrivals equal
+    floor(H / 2) of hard_replacements when every token holds K distinct ids.
     """
-    sel = trace.selections
-    layers, tokens, k = sel.shape
+    return _exrep_from_counts(_kernels.swap_in_counts(trace.selections))
+
+
+def _exrep_from_counts(counts: np.ndarray) -> float:
+    """ExRep from the (L, T) swap_in_counts of a trace; counts[:, 0] holds K."""
+    tokens = counts.shape[1]
     if tokens < 2:
         warnings.warn("exrep undefined for traces shorter than 2 tokens; returning 0")
         return 0.0
-    pcts = []
-    for l in range(layers):
-        _, h_norm = hard_replacements(sel[l][None, :, :], trace.num_experts)
-        pcts.append(100.0 * h_norm)
-    return float(np.mean(pcts))
+    arrivals = counts[:, 1:].sum(axis=1)
+    return float(np.mean(100.0 * (arrivals / (counts[0, 0] * (tokens - 1)))))
 
 
 def delta_uniform(trace: RoutingTrace) -> tuple[float, np.ndarray]:
     """Mean absolute deviation of expert usage from uniform, in percentage points.
 
     Per layer: mean over experts of |f_e - 1/E| * 100 where f_e is the
-    realized assignment fraction; overall value is the mean over layers.
+    realized assignment fraction; overall value is the mean over layers. Only
+    the experts a layer uses are counted, as runs of its sorted ids; each of
+    the others adds exactly |0 - 1/E|.
     """
-    sel = trace.selections
-    if sel.shape[1] * sel.shape[2] == 0:
-        raise ValueError("delta_uniform requires at least one routed token")
-    counts = _kernels.usage_counts(sel, trace.num_experts)
-    return delta_uniform_from_counts(counts, trace.num_experts)
+    e, layers = trace.num_experts, trace.layers
+    ids = np.sort(trace.selections.reshape(layers, -1), axis=1)
+    run_start = np.ones(ids.shape, dtype=bool)  # every row starts a run: none spans layers
+    run_start[:, 1:] = ids[:, 1:] != ids[:, :-1]
+    starts = np.flatnonzero(run_start)
+    runs, layer = np.diff(starts, append=ids.size), starts // ids.shape[1]
+    dev = np.bincount(layer, np.abs(runs / ids.shape[1] - 1.0 / e), minlength=layers)
+    per_layer = 100.0 * (dev + (e - np.bincount(layer, minlength=layers)) / e) / e
+    return float(per_layer.mean()), per_layer
 
 
 def delta_uniform_from_counts(

@@ -49,7 +49,8 @@ def test_kernel_backend_flag_is_readable():
 
 
 def test_workload_calls_run_under_the_patches(tmp_path):
-    """What the decode and train workloads call, run once with tracing on."""
+    """What the decode and train workloads and their trace checks call, run
+    once with tracing on."""
     tracer = _load_tracer()
     tr = tracer.Tracer()
     patches = tracer.Patches(tr, moelab)
@@ -66,6 +67,11 @@ def test_workload_calls_run_under_the_patches(tmp_path):
         offload_sim.write_trace(trace, tmp_path / "t.trace")
         back = offload_sim.read_trace(tmp_path / "t.trace")
         offload_sim.replay_offload(back, trainer.default_cost_model(mc))
+        # what workloads._check_trace calls; traced kernels take positional arguments only
+        for layer in back.selections:
+            moelab.losses.hard_replacements(layer[None], back.num_experts)
+        offload_sim.exrep(back)
+        offload_sim.delta_uniform(back)
         batch = trainer.sample_batch(corpus.train_ids, tc.batch_size, tc.seq_len,
                                      np.random.default_rng(0))
         trainer.train_step(model, batch, trainer.Optimizer(model, tc), 0)
@@ -73,7 +79,9 @@ def test_workload_calls_run_under_the_patches(tmp_path):
     finally:
         patches.uninstall()
     for name in ("model.ckpt_load", "model.generate", "model.attention", "experts.ffn",
-                 "offload_sim.read", "trainer.forward", "trainer.backward", "trainer.evaluate"):
+                 "offload_sim.read", "offload_sim.exrep", "offload_sim.delta_uniform",
+                 "_kernels.transition_count", "_kernels.swap_in_counts",
+                 "trainer.forward", "trainer.backward", "trainer.evaluate"):
         assert tr.sink.calls[name] > 0, name
     assert not tr.stack
 

@@ -160,6 +160,18 @@ def test_simulate_offload_fixture_trace(tmp_path, capsys):
     assert "swap_events          11" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--bandwidth", "nan"), ("--compute-per-token", "nan"), ("--expert-bytes", "inf")],
+)
+def test_simulate_offload_non_finite_cost_exits_1(tmp_path, capsys, flag, value):
+    path = tmp_path / "bles.trace"
+    write_trace(fixtures.bundled_traces()["bles"], path)
+    assert main(["simulate-offload", "--trace", str(path), flag, value, "--out", str(tmp_path)]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "offload_report.csv").exists()
+
+
 def test_simulate_offload_empty_trace_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.trace"
     empty.write_text("")

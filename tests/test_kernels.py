@@ -141,7 +141,7 @@ def test_transition_count_matches_loop():
         e = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(e, 4) + 1))
         sel = _random_selection(rng, int(rng.integers(1, 4)), int(rng.integers(1, 20)), e, k)
-        assert K.transition_count(sel, e) == _loop_transition_count(sel)
+        assert K.transition_count(sel) == _loop_transition_count(sel)
 
 
 def test_swap_in_counts_matches_loop():
@@ -150,7 +150,19 @@ def test_swap_in_counts_matches_loop():
         e = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(e, 4) + 1))
         sel = _random_selection(rng, int(rng.integers(1, 4)), int(rng.integers(1, 20)), e, k)
-        np.testing.assert_array_equal(K.swap_in_counts(sel, e), _loop_swap_in_counts(sel))
+        np.testing.assert_array_equal(K.swap_in_counts(sel), _loop_swap_in_counts(sel))
+
+
+def test_selection_counters_match_loop_on_sparse_ids():
+    # ids drawn from [0, 2**62): the counters compare ids, so no array is sized by them
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        k = int(rng.integers(1, 5))
+        pool = rng.integers(0, 2**62, size=2 * k + 1)  # a small pool keeps ids recurring
+        sel = _random_selection(rng, int(rng.integers(1, 4)), int(rng.integers(1, 20)), pool.size, k)
+        sel = pool[sel]
+        assert K.transition_count(sel) == _loop_transition_count(sel)
+        np.testing.assert_array_equal(K.swap_in_counts(sel), _loop_swap_in_counts(sel))
 
 
 def test_usage_counts_matches_loop():

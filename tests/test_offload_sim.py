@@ -102,6 +102,11 @@ def test_delta_uniform_closed_forms():
     assert overall == pytest.approx(37.5)
     assert per_layer[0] == pytest.approx(37.5)
 
+    e = 10**12  # only the two experts in use are counted
+    pair = RoutingTrace(selections=np.tile([0, e - 1], (1, 5, 1)), num_experts=e)
+    overall, _ = delta_uniform(pair)
+    assert overall == pytest.approx(100 / e * (2 * abs(1 / 2 - 1 / e) + (e - 2) / e), rel=1e-12)
+
 
 def test_delta_uniform_against_counting_oracle():
     rng = np.random.default_rng(2)
@@ -157,6 +162,12 @@ def test_cost_model_validation():
         OffloadCostModel(0, 1, 1, 1)
     with pytest.raises(ValueError):
         OffloadCostModel(1, 1, -2, 1)
+    for bad in (float("nan"), float("inf")):
+        for i in range(4):
+            args = [1.0] * 4
+            args[i] = bad
+            with pytest.raises(ValueError):
+                OffloadCostModel(*args)
 
 
 def test_synthetic_trace_hits_target_event_count():
@@ -320,3 +331,17 @@ def test_malformed_selection_tensor_rejected():
         RoutingTrace(selections=np.array([[[0, 4]]]), num_experts=4)
     with pytest.raises(DataError):
         RoutingTrace(selections=np.array([[0, 1]]), num_experts=4)
+    with pytest.raises(DataError, match="empty"):
+        RoutingTrace(selections=np.zeros((1, 0, 2), dtype=np.int64), num_experts=4)
+
+
+def test_replay_memory_is_bounded_by_the_trace_not_the_expert_count():
+    trace = RoutingTrace(selections=np.array([[[0, 1], [1, 999_999]]]), num_experts=10**6)
+    tracemalloc.start()
+    try:
+        report = replay_offload(trace, COST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.swap_events == 1 and report.exrep_pct == 50.0
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB for a 2-token trace"
