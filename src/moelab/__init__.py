@@ -10,7 +10,7 @@ from .config import ModelConfig
 from .errors import DataError
 from .model import RoutingTrace, TransformerLM
 from .numerics import Tensor, finite_difference_grad
-from .routing import RouterLogits, RoutingWeights, SelectedExperts, route
+from .routing import RoutingWeights, SelectedExperts, route
 from .trainer import TrainConfig
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError",
     "ModelConfig",
-    "RouterLogits",
     "RoutingTrace",
     "RoutingWeights",
     "SelectedExperts",

@@ -21,7 +21,7 @@ from .config import ModelConfig
 from .errors import DataError
 from .experts import _normal, make_expert
 from .numerics import Tensor
-from .routing import RouterLogits, RoutingWeights, SelectedExperts, route
+from .routing import RoutingWeights, SelectedExperts, route
 
 CHECKPOINT_MAGIC = "moelab-ckpt-v1"
 
@@ -43,6 +43,9 @@ class RoutingTrace:
             raise DataError(f"trace selections are empty: {self.selections.shape}")
         if self.selections.min() < 0 or self.selections.max() >= self.num_experts:
             raise DataError(f"trace contains expert ids outside [0, {self.num_experts})")
+        ids = np.sort(self.selections, axis=-1)
+        if (ids[..., 1:] == ids[..., :-1]).any():  # every counter assumes K distinct ids
+            raise DataError("trace selections repeat an expert id within a token")
 
     @property
     def layers(self) -> int:
@@ -179,11 +182,9 @@ class MoELayer:
         self.router = _normal(rng, (config.hidden, config.experts), config.dtype)
         self.experts = [make_expert(config, rng) for _ in range(config.experts)]
 
-    def forward(
-        self, x: Tensor
-    ) -> tuple[Tensor, RouterLogits, RoutingWeights, SelectedExperts]:
+    def forward(self, x: Tensor) -> tuple[Tensor, Tensor, RoutingWeights, SelectedExperts]:
         b, t, h = x.shape
-        logits = RouterLogits(nx.matmul(x, self.router))
+        logits = nx.matmul(x, self.router)
         weights, selected = route(logits, self.config.temperature, self.config.active)
 
         n, k = b * t, selected.k
@@ -234,7 +235,7 @@ class Block:
         return params
 
 
-LayerArtifacts = tuple[RouterLogits, RoutingWeights, SelectedExperts]
+LayerArtifacts = tuple[Tensor, RoutingWeights, SelectedExperts]  # router logits first
 
 
 class TransformerLM:

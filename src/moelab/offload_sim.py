@@ -187,16 +187,6 @@ def delta_uniform(trace: RoutingTrace) -> tuple[float, np.ndarray]:
     return float(per_layer.mean()), per_layer
 
 
-def delta_uniform_from_counts(
-    counts: np.ndarray, num_experts: int
-) -> tuple[float, np.ndarray]:
-    """Same metric from pre-aggregated (layers, E) assignment counts."""
-    counts = np.asarray(counts, dtype=np.float64)
-    f = counts / counts.sum(axis=-1, keepdims=True)
-    per_layer = 100.0 * np.abs(f - 1.0 / num_experts).mean(axis=-1)
-    return float(per_layer.mean()), per_layer
-
-
 def calibrate_cost_model(
     tokens_per_sec_a: float,
     exrep_a_pct: float,
@@ -303,7 +293,9 @@ def write_trace(trace: RoutingTrace, path) -> None:
 
 
 def read_trace(path) -> RoutingTrace:
-    """Parse a trace file; malformed input raises DataError naming the line."""
+    """Parse a token-major trace file: line i + 2 holds token i // layers of
+    layer i % layers, as ``write_trace`` writes it. Malformed input, a misplaced
+    or repeated record included, raises DataError naming the line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -346,7 +338,7 @@ def read_trace(path) -> RoutingTrace:
         raise DataError(
             f"{path}: expected {expected} records after the header, got {len(lines) - 1}"
         )
-    rows, ids_seen = array("q"), array("q")  # int64 buffers: no object per id
+    ids_seen = array("q")  # int64 buffer: no object per id
     for i, text in enumerate(lines[1:], start=2):
         rec = parse(i, text)
         t, l, ids = rec.get("token"), rec.get("layer"), rec.get("experts")
@@ -357,6 +349,11 @@ def read_trace(path) -> RoutingTrace:
             )
         if not 0 <= t < tokens or not 0 <= l < layers:
             raise DataError(f"{path}: line {i}: token/layer out of range")
+        if (t, l) != divmod(i - 2, layers):
+            raise DataError(
+                f"{path}: line {i}: expected token {(i - 2) // layers} of layer "
+                f"{(i - 2) % layers}; records are token-major"
+            )
         if not isinstance(ids, list) or len(ids) != k:
             raise DataError(f"{path}: line {i}: expected {k} expert ids")
         for e in ids:
@@ -368,12 +365,7 @@ def read_trace(path) -> RoutingTrace:
                 )
         if len(set(ids)) != k:
             raise DataError(f"{path}: line {i}: duplicate expert ids {ids}")
-        rows.append(l * tokens + t)
         ids_seen.extend(ids)
-    # allocated only now that every record has shown k ids: the header alone
-    # cannot make this array larger than the file
-    sel = np.full((layers * tokens, k), -1, dtype=np.int64)
-    sel[np.frombuffer(rows, np.int64)] = np.frombuffer(ids_seen, np.int64).reshape(-1, k)
-    if (sel < 0).any():
-        raise DataError(f"{path}: missing records for some (token, layer) pairs")
-    return RoutingTrace(selections=sel.reshape(layers, tokens, k), num_experts=num_experts)
+    # the records fill the buffer in (T, L, K) order; the copy owns its array
+    sel = np.frombuffer(ids_seen, np.int64).reshape(tokens, layers, k)
+    return RoutingTrace(selections=sel.transpose(1, 0, 2).copy(), num_experts=num_experts)

@@ -1,6 +1,7 @@
 """Token-choice routing: temperature softmax over router logits, top-k selection.
 
-The router produces a full probability row per token; the k heaviest experts
+``route`` takes the router logits as a plain (B, T, E) Tensor and checks their
+shape and finiteness itself. The router produces a full probability row per token; the k heaviest experts
 are selected with deterministic lowest-index tie-breaking and their weights are
 renormalized to sum to one. Gradients reach the logits only through the
 selected (renormalized) weights; the discrete selection itself carries none.
@@ -15,19 +16,6 @@ import numpy as np
 from . import _kernels
 from . import numerics as nx
 from .numerics import Tensor
-
-
-@dataclass
-class RouterLogits:
-    """Raw per-token, per-expert router outputs, shape (B, T, E)."""
-
-    values: Tensor
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 3:
-            raise ValueError(f"router logits must be (B, T, E), got {self.values.shape}")
-        if not np.all(np.isfinite(self.values.data)):
-            raise ValueError("router logits contain non-finite values")
 
 
 @dataclass
@@ -50,26 +38,27 @@ class SelectedExperts:
         return self.indices.shape[-1]
 
 
-def route(
-    logits: RouterLogits | Tensor, temperature: float, k: int
-) -> tuple[RoutingWeights, SelectedExperts]:
-    """Compute routing weights and select each token's top-k experts.
+def route(logits: Tensor, temperature: float, k: int) -> tuple[RoutingWeights, SelectedExperts]:
+    """Compute routing weights from (B, T, E) router logits and select each
+    token's top-k experts.
 
-    Ties go to the lowest expert index so replayed traces are reproducible.
-    With k == E the gate weights reduce to the full softmax row.
+    The logits must be finite. Ties go to the lowest expert index so replayed
+    traces are reproducible. With k == E the gate weights reduce to the full
+    softmax row.
     """
-    values = logits.values if isinstance(logits, RouterLogits) else logits
-    num_experts = values.shape[-1]
+    if logits.ndim != 3:
+        raise ValueError(f"router logits must be (B, T, E), got {logits.shape}")
+    if not np.all(np.isfinite(logits.data)):
+        raise ValueError("router logits contain non-finite values")
+    b, t, num_experts = logits.shape
     if not 1 <= k <= num_experts:
         raise ValueError(f"k={k} must be in [1, E={num_experts}]")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
 
-    weights = nx.softmax_lastdim(values, temperature)
-    lead = values.shape[:-1]
-    rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
-    flat = np.ascontiguousarray(weights.data.reshape(rows, num_experts))
-    indices = _kernels.topk_lastdim(flat, k).reshape(*lead, k)
+    weights = nx.softmax_lastdim(logits, temperature)
+    flat = np.ascontiguousarray(weights.data.reshape(b * t, num_experts))
+    indices = _kernels.topk_lastdim(flat, k).reshape(b, t, k)
 
     taken = nx.take_along_lastdim(weights, indices)
     gates = nx.div(taken, nx.sum_(taken, axis=-1, keepdims=True))

@@ -23,7 +23,7 @@ from .errors import DataError
 from .experts import per_expert_param_count, shared_param_count
 from .losses import bles_loss, load_balance_loss, total_loss
 from .model import RoutingTrace, TransformerLM
-from .offload_sim import OffloadCostModel, delta_uniform_from_counts, replay_offload
+from .offload_sim import OffloadCostModel, delta_uniform, replay_offload
 from .routing import expert_load_fractions
 
 SPLIT_BLOCK = 256  # corpus split granularity in tokens
@@ -35,9 +35,8 @@ lm_cross_entropy = nx.cross_entropy  # compute_losses calls it through this modu
 class TrainConfig:
     """Everything the optimization loop needs besides the model shape.
 
-    ``optimizer`` is "adam" (cosine decay, linear warmup, per-element update
-    magnitude capped at the scheduled lr) or "sgd" (plain, no momentum).
-    ``grad_clip`` is a global-norm cap; 0 disables it.
+    The learning rate warms up linearly, then decays on a cosine to
+    ``min_lr_frac`` of ``lr``. ``grad_clip`` is a global-norm cap; 0 disables it.
     """
 
     corpus: str = ""
@@ -51,7 +50,6 @@ class TrainConfig:
     beta2: float = 0.99
     adam_eps: float = 1e-8
     grad_clip: float = 1.0
-    optimizer: str = "adam"
     seed: int = 0
     val_frac: float = 0.1
     eval_interval: int = 200
@@ -62,8 +60,6 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.seq_len < 2:
             raise ValueError("seq_len must be >= 2 (losses compare token pairs)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not 0 < self.val_frac < 1:
             raise ValueError("val_frac must be in (0, 1)")
         if self.batch_size < 1 or self.eval_batches < 1 or self.eval_interval < 1:
@@ -245,10 +241,10 @@ def sample_batch(
 
 
 class Optimizer:
-    """Adam-style or plain-SGD updates with warmup + cosine decay.
+    """Adam updates with warmup + cosine decay.
 
-    The Adam path clips each element's update to the scheduled learning rate,
-    which bounds the realized parameter delta per step by lr regardless of the
+    Each element's update is clipped to the scheduled learning rate, which
+    bounds the realized parameter delta per step by lr regardless of the
     moment ratio.
     """
 
@@ -277,9 +273,6 @@ class Optimizer:
         self.t += 1
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if cfg.optimizer == "sgd":
-                p.data -= (lr_t * g).astype(p.data.dtype)
-                continue
             m = self.m[name]
             v = self.v[name]
             m *= cfg.beta1
@@ -381,18 +374,18 @@ def default_cost_model(config: ModelConfig) -> OffloadCostModel:
     )
 
 
-def evaluate(model: TransformerLM, corpus: Corpus, cfg: TrainConfig,
-             cost: OffloadCostModel | None = None) -> dict:
+def evaluate(model: TransformerLM, corpus: Corpus, cfg: TrainConfig) -> dict:
     """Validation metrics on deterministic batches: cross-entropy, perplexity,
-    replacement percentage, balance deviation, and simulated tokens/sec (the
-    offload replay of each batch's first sequence). Builds no autodiff graph."""
+    replacement percentage, balance deviation (``delta_uniform`` of every
+    evaluated token's selections, pooled per layer), and simulated tokens/sec
+    (the offload replay of each batch's first sequence under
+    ``default_cost_model``). Builds no autodiff graph."""
     rng = np.random.default_rng(cfg.seed + 104729)  # fixed eval stream
     mcfg = model.config
-    if cost is None:
-        cost = default_cost_model(mcfg)
+    cost = default_cost_model(mcfg)
     ce_vals = []
     exrep_vals = []
-    counts = np.zeros((mcfg.layers, mcfg.experts), dtype=np.int64)
+    selections = []  # per batch: (L, B * T, K)
     tok_s_vals = []
     with nx.no_grad():
         for _ in range(cfg.eval_batches):
@@ -400,17 +393,13 @@ def evaluate(model: TransformerLM, corpus: Corpus, cfg: TrainConfig,
             _, parts, artifacts = compute_losses(model, x, y)
             ce_vals.append(parts["ce"])
             exrep_vals.append(parts["exrep"])
-            for l, (_, _, selected) in enumerate(artifacts):
-                counts[l] += _kernels.usage_counts(
-                    selected.indices.reshape(1, -1, selected.k), mcfg.experts
-                )[0]
-            trace = RoutingTrace(
-                selections=np.stack([selected.indices[0] for _, _, selected in artifacts]),
-                num_experts=mcfg.experts,
-            )
+            sel = np.stack([selected.indices for _, _, selected in artifacts])  # (L, B, T, K)
+            selections.append(sel.reshape(mcfg.layers, -1, mcfg.active))
+            trace = RoutingTrace(selections=sel[:, 0], num_experts=mcfg.experts)
             tok_s_vals.append(replay_offload(trace, cost).tokens_per_sec)
     ce = float(np.mean(ce_vals))
-    overall_delta, _ = delta_uniform_from_counts(counts, mcfg.experts)
+    pooled = RoutingTrace(np.concatenate(selections, axis=1), mcfg.experts)
+    overall_delta, _ = delta_uniform(pooled)
     return {
         "val_ce": ce,
         "val_ppl": float(np.exp(ce)),

@@ -269,6 +269,16 @@ def test_trace_file_errors_name_the_line(tmp_path):
     with pytest.raises(DataError, match=r"line 3.*duplicate expert ids \[1, 1\]"):
         read_trace(path)
 
+    two_by_two = json.dumps({"format": "moelab-trace-v1", "layers": 2, "tokens": 2,
+                             "active": 2, "experts": 4}) + "\n"
+    layer_major = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    repeated = [(0, 0), (0, 0), (1, 0), (1, 1)]
+    for order, message in ((layer_major, "line 3.*token-major"), (repeated, "line 3")):
+        path.write_text(two_by_two + "".join(
+            json.dumps({"token": t, "layer": l, "experts": [0, 1]}) + "\n" for t, l in order))
+        with pytest.raises(DataError, match=message):
+            read_trace(path)
+
     path.write_text(
         header
         + '{"token": 0, "layer": 0, "experts": [true, false]}\n'
@@ -333,6 +343,8 @@ def test_malformed_selection_tensor_rejected():
         RoutingTrace(selections=np.array([[0, 1]]), num_experts=4)
     with pytest.raises(DataError, match="empty"):
         RoutingTrace(selections=np.zeros((1, 0, 2), dtype=np.int64), num_experts=4)
+    with pytest.raises(DataError, match="repeat an expert id"):
+        RoutingTrace(selections=np.array([[[1, 1], [2, 3]]]), num_experts=4)
 
 
 def test_replay_memory_is_bounded_by_the_trace_not_the_expert_count():

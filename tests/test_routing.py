@@ -6,7 +6,6 @@ import pytest
 from moelab import numerics as nx
 from moelab.numerics import Tensor
 from moelab.routing import (
-    RouterLogits,
     RoutingWeights,
     SelectedExperts,
     expert_load_fractions,
@@ -55,12 +54,12 @@ def test_route_parameter_errors():
 
 
 def test_router_logits_validation():
-    with pytest.raises(ValueError):
-        RouterLogits(Tensor(np.zeros((2, 3))))
+    with pytest.raises(ValueError, match=r"\(B, T, E\)"):
+        route(Tensor(np.zeros((2, 3))), 1.0, 2)
     bad = np.zeros((1, 2, 3))
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        RouterLogits(Tensor(bad))
+        route(Tensor(bad), 1.0, 2)
 
 
 def test_shift_invariance_per_token():

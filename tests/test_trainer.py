@@ -98,22 +98,6 @@ def test_zero_learning_rate_freezes_parameters(corpus_file):
         assert np.array_equal(before[name], p.data), name
 
 
-def test_sgd_update_is_minus_lr_times_gradient(corpus_file):
-    corpus = ingest_corpus(corpus_file)
-    model = TransformerLM(small_model_cfg(), seed=1)
-    lr = 0.05
-    cfg = small_train_cfg(corpus_file, optimizer="sgd", lr=lr, grad_clip=0.0,
-                          warmup_steps=0, steps=1, min_lr_frac=1.0)
-    opt = Optimizer(model, cfg)
-    before = {k: p.data.copy() for k, p in model.named_parameters().items()}
-    batch = sample_batch(corpus.train_ids, 2, 16, np.random.default_rng(1))
-    train_step(model, batch, opt, 0)
-    lr_t = opt.lr_at(0)
-    for name, p in model.named_parameters().items():
-        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        np.testing.assert_array_equal(p.data, before[name] - lr_t * grad)
-
-
 def test_adam_update_magnitude_bounded_by_lr(corpus_file):
     corpus = ingest_corpus(corpus_file)
     model = TransformerLM(small_model_cfg(), seed=2)
@@ -275,6 +259,9 @@ def test_load_config_file(tmp_path, corpus_file):
     bad.write_text("unknown_key = 3\n")
     with pytest.raises(DataError, match="unknown key"):
         load_config_file(bad)
+    bad.write_text("steps = 7\noptimizer = sgd\n")  # Adam is the only optimizer
+    with pytest.raises(DataError, match="line 2: unknown key 'optimizer'"):
+        load_config_file(bad)
     bad.write_text("steps = banana\n")
     with pytest.raises(DataError, match="bad value"):
         load_config_file(bad)
@@ -354,6 +341,28 @@ def test_evaluate_builds_no_graph_and_matches_grad_mode(corpus_file, monkeypatch
     without_graph = evaluate(model, corpus, cfg)
     monkeypatch.setattr(nx, "no_grad", contextlib.nullcontext)
     assert evaluate(model, corpus, cfg) == without_graph
+
+
+def test_evaluate_delta_uniform_pools_every_evaluated_selection(corpus_file, monkeypatch):
+    model = TransformerLM(small_model_cfg(), seed=4)
+    cfg = small_train_cfg(corpus_file, eval_batches=3)
+    seen = []
+
+    def recording(*args):
+        out = compute_losses(*args)
+        seen.append([selected.indices for _, _, selected in out[2]])
+        return out
+
+    monkeypatch.setattr("moelab.trainer.compute_losses", recording)
+    result = evaluate(model, ingest_corpus(corpus_file), cfg)
+    e = model.config.experts
+    assert len(seen) == cfg.eval_batches
+    per_layer = []
+    for layer in zip(*seen):
+        counts = np.bincount(np.concatenate([s.reshape(-1) for s in layer]), minlength=e)
+        f = counts / counts.sum()
+        per_layer.append(100.0 / e * np.abs(f - 1.0 / e).sum())
+    assert result["val_delta_uniform"] == pytest.approx(np.mean(per_layer), rel=1e-12)
 
 
 def test_weight_decomposed_experts_train(corpus_file):
