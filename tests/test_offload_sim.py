@@ -336,6 +336,99 @@ def test_trace_header_sizes_allocate_nothing_before_the_records(tmp_path):
     assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB before the first record was checked"
 
 
+def _json_dumps_trace(trace: RoutingTrace) -> str:
+    """The trace file as one ``json.dumps`` per record would write it."""
+    layers, tokens, k = trace.selections.shape
+    header = {"format": "moelab-trace-v1", "layers": layers, "tokens": tokens, "active": k,
+              "experts": trace.num_experts}
+    lines = [json.dumps(header)]
+    for t in range(tokens):
+        for l in range(layers):
+            lines.append(json.dumps({"token": t, "layer": l,
+                                     "experts": trace.selections[l, t].tolist()}))
+    return "\n".join(lines) + "\n"
+
+
+def _distinct_ids(rng, layers, tokens, k, experts):
+    """(layers, tokens, k) ids in [0, experts), distinct within each token."""
+    base = np.sort(rng.integers(0, experts - k + 1, size=(layers, tokens, k)), axis=-1)
+    return rng.permuted(base + np.arange(k), axis=-1)
+
+
+@pytest.mark.parametrize(
+    "layers,tokens,k,experts,offset",
+    [
+        (3, 50, 1, 5, 0),  # K = 1
+        (1, 300, 2, 8, 0),  # L = 1; 300 records are not a multiple of 128
+        (2, 64, 2, 8, 0),  # exactly one full block
+        (5, 31, 3, 2**62 + 100, 2**62),  # ids near 2**62; 155 records
+    ],
+)
+def test_write_trace_matches_json_dumps_per_record(tmp_path, layers, tokens, k, experts, offset):
+    rng = np.random.default_rng(layers * tokens)
+    sel = offset + _distinct_ids(rng, layers, tokens, k, experts - offset)
+    trace = RoutingTrace(selections=sel, num_experts=experts)
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, path)
+    assert path.read_bytes() == _json_dumps_trace(trace).encode()
+    back = read_trace(path)
+    assert np.array_equal(back.selections, sel) and back.num_experts == experts
+
+
+def test_non_canonical_trace_files_read_like_canonical_ones(tmp_path):
+    trace = RoutingTrace(selections=_distinct_ids(np.random.default_rng(2), 2, 70, 3, 9),
+                         num_experts=9)
+    canonical = _json_dumps_trace(trace)
+    header, *records = [json.loads(line) for line in canonical.splitlines()]
+    compact = "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in [header] + records)
+    reordered = json.dumps(header) + "\n" + "".join(
+        json.dumps(dict(reversed(rec.items()))) + "\n" for rec in records)
+    extra_key = json.dumps(header) + "\n" + "".join(
+        json.dumps({**rec, "gate": 0.5}) + "\n" for rec in records)
+    variants = {
+        "compact separators": compact,
+        "CRLF line ends": canonical.replace("\n", "\r\n"),
+        "reordered keys": reordered,
+        "extra key": extra_key,
+        "no trailing newline": canonical.rstrip("\n"),
+    }
+    path = tmp_path / "t.jsonl"
+    for name, text in variants.items():
+        path.write_bytes(text.encode())
+        back = read_trace(path)
+        assert np.array_equal(back.selections, trace.selections), name
+        assert back.num_experts == 9, name
+
+
+def test_ids_a_lenient_number_scan_would_misread_fail_on_their_line(tmp_path):
+    # "-3" and "01" scan as the valid ids 3 and 1; the overflow saturates
+    header = '{"format": "moelab-trace-v1", "layers": 1, "tokens": 2, "active": 2, "experts": 4}\n'
+    first = '{"token": 0, "layer": 0, "experts": [0, 1]}\n'
+    path = tmp_path / "t.jsonl"
+    for bad_id, message in (("-3", r"line 3: expert id -3 outside \[0, 4\)"),
+                            ("01", "line 3: invalid JSON"),
+                            ("99999999999999999999",
+                             r"line 3: expert id 99999999999999999999 outside \[0, 4\)")):
+        path.write_text(header + first + f'{{"token": 1, "layer": 0, "experts": [0, {bad_id}]}}\n')
+        with pytest.raises(DataError, match=message):
+            read_trace(path)
+
+
+def test_trace_header_token_count_allocates_nothing_before_the_records(tmp_path):
+    path = tmp_path / "t.jsonl"
+    header = {"format": "moelab-trace-v1", "layers": 1, "tokens": 10**12, "active": 2,
+              "experts": 4}
+    path.write_text(json.dumps(header) + '\n{"token": 0, "layer": 0, "experts": [0, 1]}\n')
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="expected 1000000000000 records"):
+            read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB for a 1-record trace"
+
+
 def test_malformed_selection_tensor_rejected():
     with pytest.raises(DataError):
         RoutingTrace(selections=np.array([[[0, 4]]]), num_experts=4)
