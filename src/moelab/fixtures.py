@@ -69,8 +69,9 @@ PARAM_ACCOUNTING = {
 }
 
 
-def activation_to_trace(rows: tuple[str, ...], k: int = 2) -> RoutingTrace:
+def activation_to_trace(rows: tuple[str, ...]) -> RoutingTrace:
     """Convert an activation grid (rows of '0'/'1' per expert) into a trace."""
+    k = 2
     grid = np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
     num_experts, tokens = grid.shape
     sel = np.empty((1, tokens, k), dtype=np.int64)
@@ -190,11 +191,10 @@ def run_reference_checks() -> list[ReferenceCheck]:
     return checks
 
 
-def latency_ratio(
-    tokens: int = 129, layers: int = 1, num_experts: int = 8, k: int = 2
-) -> tuple[float, float, float]:
+def latency_ratio() -> tuple[float, float, float]:
     """Replay a high-churn and a low-churn synthetic trace under the
     calibrated cost model; returns (speedup, tok/s high-churn, tok/s low-churn)."""
+    tokens, layers, num_experts, k = 129, 1, 8, 2
     tok_a, ex_a = CALIBRATION_POINT_HIGH
     tok_b, ex_b = CALIBRATION_POINT_LOW
     cost = calibrate_cost_model(

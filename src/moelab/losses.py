@@ -71,15 +71,13 @@ def soft_selection(w: Tensor) -> tuple[Tensor, Tensor]:
 
     L sums |W[b, t+1, e] - W[b, t, e]| over everything; L_norm divides by
     B * T (the printed normalizer, kept as-is even though the hard term
-    normalizes by T - 1). Both are differentiable scalar tensors.
+    normalizes by T - 1). Both are differentiable scalar tensors; a
+    single-token sequence scores 0 with a zero gradient.
     """
     if w.ndim != 3:
         raise ValueError(f"routing weights must be (B, T, E), got {w.shape}")
     b, t, _ = w.shape
-    if t < 2:
-        zero = nx.mul(nx.sum_(w), 0.0)
-        return zero, zero
-    total = nx.sum_(nx.abs_(nx.consecutive_diff(w, axis=1)))
+    total = nx.sum_(nx.abs_(nx.consecutive_diff(w)))
     return total, nx.mul(total, 1.0 / (b * t))
 
 

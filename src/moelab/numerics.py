@@ -6,10 +6,16 @@ along the last axis with a temperature and an additive mask, SiLU, layer
 normalization, row gather (token and position lookups too), scatter and
 concatenation, gathers along the last axis, reshape/swapaxes, consecutive
 differences, and a fused cross-entropy. Gradients accumulate additively into
-``Tensor.grad``; callers zero them between steps. Inside ``with no_grad():`` every operation returns a
-plain tensor with no parents and no backward closure, so forward-only callers
-(evaluation, decoding) build no graph; the forward values are the same bits
-either way.
+``Tensor.grad``; callers zero them between steps. Inside ``with no_grad():``
+every operation returns a plain tensor with no parents and no backward closure,
+so forward-only callers (evaluation, decoding) build no graph; the forward
+values are the same bits either way.
+
+One rule holds the backward pass together: every gradient contribution is
+summed out of place, and no gradient array is written after it is handed out.
+A backward closure may therefore return views of its incoming gradient (a
+broadcast, a reshape, the same array to both operands of ``add``) without
+copying.
 
 Double precision is the default and is required for the finite-difference
 checks; single precision is accepted for the training path.
@@ -68,6 +74,10 @@ class Tensor:
 
         Only defined for scalar outputs (losses). Uses an iterative
         topological sort so long token chains cannot hit the recursion limit.
+        Each node's contributions are summed out of place into one table; a
+        leaf hands its total to ``.grad`` when it is reached. A leaf with
+        several consumers is therefore rounded into its dtype once, after its
+        contributions are summed, not after each one.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
@@ -92,20 +102,14 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
-                node._accumulate(g)
-            if node._backward is not None:
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if not parent.requires_grad:
-                        continue
-                    if parent._backward is None:
-                        parent._accumulate(pg)
-                    else:
-                        key = id(parent)
-                        if key in grads:
-                            grads[key] += pg
-                        else:
-                            grads[key] = pg
+            if node._backward is None:
+                if node.requires_grad:
+                    node._accumulate(g)
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if parent.requires_grad:
+                    key = id(parent)
+                    grads[key] = grads[key] + pg if key in grads else pg
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -128,7 +132,7 @@ def no_grad() -> Iterator[None]:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -208,17 +212,17 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _result(data, (a,), backward)
 
 
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+def mean_(a: Tensor, axis=None) -> Tensor:
+    data = a.data.mean(axis=axis)
     scale = a.data.size / data.size
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape) / scale,)
 
@@ -260,12 +264,12 @@ def silu(x: Tensor) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
     d = x.shape[-1]
@@ -290,14 +294,12 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     Ids are not range-checked (a negative one wraps around); callers check ids
     that come from outside.
     """
-    idx = np.ascontiguousarray(np.asarray(idx, dtype=np.int64))
+    idx = np.asarray(idx, dtype=np.int64)
     data = x.data[idx]
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        _kernels.index_add_rows(
-            gx, idx.reshape(-1), np.ascontiguousarray(g.reshape(-1, x.shape[-1]))
-        )
+        _kernels.index_add_rows(gx, idx.reshape(-1), g.reshape(-1, x.shape[-1]))
         return (gx,)
 
     return _result(data, (x,), backward)
@@ -305,9 +307,9 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 def scatter_rows(rows: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     """Inverse of take_rows: out[idx[m]] += rows[m] into a fresh (num_rows, D)."""
-    idx = np.ascontiguousarray(np.asarray(idx, dtype=np.int64))
+    idx = np.asarray(idx, dtype=np.int64)
     data = np.zeros((num_rows, rows.shape[-1]), dtype=rows.dtype)
-    _kernels.index_add_rows(data, idx, np.ascontiguousarray(rows.data))
+    _kernels.index_add_rows(data, idx, rows.data)
 
     def backward(g):
         return (g[idx],)
@@ -326,14 +328,11 @@ def take_along_lastdim(x: Tensor, idx: np.ndarray) -> Tensor:
     """out[..., k] = x[..., idx[..., k]] with idx matching x on leading dims."""
     idx = np.asarray(idx, dtype=np.int64)
     data = np.take_along_axis(x.data, idx, axis=-1)
-    r = int(np.prod(idx.shape[:-1], dtype=np.int64)) if idx.ndim > 1 else 1
-    idx2 = np.ascontiguousarray(idx.reshape(r, idx.shape[-1]))
+    idx2 = idx.reshape(-1, idx.shape[-1])
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        _kernels.scatter_add_lastdim(
-            gx.reshape(r, x.shape[-1]), idx2, np.ascontiguousarray(g.reshape(idx2.shape))
-        )
+        _kernels.scatter_add_lastdim(gx.reshape(-1, x.shape[-1]), idx2, g.reshape(idx2.shape))
         return (gx,)
 
     return _result(data, (x,), backward)
@@ -350,21 +349,16 @@ def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
     )
 
 
-def consecutive_diff(x: Tensor, axis: int = 1) -> Tensor:
-    """Difference of consecutive slices along ``axis``: x[.., 1:, ..] - x[.., :-1, ..]."""
-    if x.shape[axis] < 1:
-        raise ValueError(f"axis {axis} of {x.shape} is empty")
-    hi = [slice(None)] * x.ndim
-    lo = [slice(None)] * x.ndim
-    hi[axis] = slice(1, None)
-    lo[axis] = slice(None, -1)
-    hi, lo = tuple(hi), tuple(lo)
-    data = x.data[hi] - x.data[lo]
+def consecutive_diff(x: Tensor) -> Tensor:
+    """Difference of consecutive slices along axis 1: x[:, 1:] - x[:, :-1]."""
+    if x.shape[1] < 1:
+        raise ValueError(f"axis 1 of {x.shape} is empty")
+    data = x.data[:, 1:] - x.data[:, :-1]
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[hi] += g
-        gx[lo] -= g
+        gx[:, 1:] += g
+        gx[:, :-1] -= g
         return (gx,)
 
     return _result(data, (x,), backward)

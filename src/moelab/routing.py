@@ -42,9 +42,9 @@ def route(logits: Tensor, temperature: float, k: int) -> tuple[RoutingWeights, S
     """Compute routing weights from (B, T, E) router logits and select each
     token's top-k experts.
 
-    The logits must be finite. Ties go to the lowest expert index so replayed
-    traces are reproducible. With k == E the gate weights reduce to the full
-    softmax row.
+    The logits must be finite and the temperature positive (``softmax_lastdim``
+    checks it). Ties go to the lowest expert index so replayed traces are
+    reproducible. With k == E the gate weights reduce to the full softmax row.
     """
     if logits.ndim != 3:
         raise ValueError(f"router logits must be (B, T, E), got {logits.shape}")
@@ -53,11 +53,9 @@ def route(logits: Tensor, temperature: float, k: int) -> tuple[RoutingWeights, S
     b, t, num_experts = logits.shape
     if not 1 <= k <= num_experts:
         raise ValueError(f"k={k} must be in [1, E={num_experts}]")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
 
     weights = nx.softmax_lastdim(logits, temperature)
-    flat = np.ascontiguousarray(weights.data.reshape(b * t, num_experts))
+    flat = weights.data.reshape(b * t, num_experts)
     indices = _kernels.topk_lastdim(flat, k).reshape(b, t, k)
 
     taken = nx.take_along_lastdim(weights, indices)

@@ -45,9 +45,12 @@ def test_hard_replacements_single_token_convention():
 
 
 def test_soft_selection_constant_rows():
-    w = np.tile(np.array([0.2, 0.3, 0.5]), (2, 4, 1))
-    l, l_norm = soft_selection(Tensor(w))
-    assert l.item() == 0.0 and l_norm.item() == 0.0
+    for t in (4, 1):  # a single token has no consecutive pair
+        x = nx.parameter(np.tile(np.array([0.2, 0.3, 0.5]), (2, t, 1)))
+        l, l_norm = soft_selection(x)
+        assert l.item() == 0.0 and l_norm.item() == 0.0
+        l_norm.backward()
+        np.testing.assert_array_equal(x.grad, 0.0)
 
 
 def test_soft_selection_hand_computation():

@@ -307,7 +307,21 @@ def _case_consecutive_diff(rng):
     t = max(t, 2)
     x = rng.normal(size=(b, t, e))
     c = rng.normal(size=(b, t - 1, e))
-    return lambda x: _weighted_sum(nx.consecutive_diff(x, axis=1), c), [x]
+    return lambda x: _weighted_sum(nx.consecutive_diff(x), c), [x]
+
+
+def _case_fan_out(rng):
+    """Interior nodes that feed both an add and a later op, so each sums two
+    contributions, one of them the array add hands to both operands."""
+    shape = _dims(rng, 2)
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    c = rng.normal(size=shape)
+
+    def f(a, b):
+        p, q = nx.silu(a), nx.silu(b)
+        return _weighted_sum(nx.add(nx.add(p, q), nx.mul(p, q)), c)
+
+    return f, [a, b]
 
 
 OP_CASES = [
@@ -329,9 +343,10 @@ OP_CASES = [
     _case_reshape_swap,
     _case_cross_entropy,
     _case_consecutive_diff,
+    _case_fan_out,
 ]
 
-TRIALS_PER_OP = 6  # 18 ops x 6 = 108 randomized trials
+TRIALS_PER_OP = 6  # 19 cases x 6 = 114 randomized trials
 
 
 @pytest.mark.parametrize("case", OP_CASES, ids=lambda c: c.__name__)

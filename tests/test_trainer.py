@@ -146,6 +146,32 @@ def test_nonfinite_loss_aborts_with_routing_dump(corpus_file):
         train_step(model, batch, opt, 0)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("expert_kind", ["dense", "wd"])
+def test_backward_writes_no_gradient_it_has_handed_out(corpus_file, monkeypatch,
+                                                       expert_kind, dtype):
+    """Every array a backward closure returns is made read-only, so a backward
+    pass that adds into a handed-out gradient in place fails here."""
+    result = nx._result
+
+    def read_only_result(data, parents, backward):
+        def frozen(g):
+            grads = tuple(np.asarray(pg) for pg in backward(g))  # scalars become 0-d arrays
+            for pg in grads:
+                pg.flags.writeable = False
+            return grads
+
+        return result(data, parents, frozen)
+
+    corpus = ingest_corpus(corpus_file)
+    model = TransformerLM(small_model_cfg(expert_kind=expert_kind, dtype=dtype), seed=5)
+    opt = Optimizer(model, small_train_cfg(corpus_file))
+    batch = sample_batch(corpus.train_ids, 2, 16, np.random.default_rng(5))
+    monkeypatch.setattr(nx, "_result", read_only_result)
+    metrics = train_step(model, batch, opt, 0)
+    assert np.isfinite(metrics["grad_norm"]) and metrics["grad_norm"] > 0
+
+
 def test_metrics_stream_and_checkpoint_written(tmp_path, corpus_file):
     out = tmp_path / "run"
     mcfg = small_model_cfg()
