@@ -1,6 +1,6 @@
 """Feed-forward expert networks: standard dense and weight-decomposed variants.
 
-Both use the SiLU-gated form down(silu(gate(x)) * up(x)). The weight-decomposed
+Both use the SwiGLU form down(SiLU(gate(x)) * up(x)). The weight-decomposed
 (WD) expert replaces each n x m projection with factors L (n x r) and R (r x m)
 and never materializes the n x m product, so its parameter and FLOP cost is
 r * (n + m) per projection instead of n * m.
@@ -41,7 +41,7 @@ class DenseExpert:
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.hidden:
             raise ValueError(f"expected last dim {self.hidden}, got {x.shape}")
-        h = nx.mul(nx.silu(nx.matmul(x, self.w_gate)), nx.matmul(x, self.w_up))
+        h = nx.swiglu(nx.matmul(x, self.w_gate), nx.matmul(x, self.w_up))
         return nx.matmul(h, self.w_down)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -97,7 +97,7 @@ class WDExpert:
             raise ValueError(f"expected last dim {self.hidden}, got {x.shape}")
         gate = nx.matmul(nx.matmul(x, self.l_gate), self.r_gate)
         up = nx.matmul(nx.matmul(x, self.l_up), self.r_up)
-        h = nx.mul(nx.silu(gate), up)
+        h = nx.swiglu(gate, up)
         return nx.matmul(nx.matmul(h, self.l_down), self.r_down)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:

@@ -77,7 +77,7 @@ def soft_selection(w: Tensor) -> tuple[Tensor, Tensor]:
     if w.ndim != 3:
         raise ValueError(f"routing weights must be (B, T, E), got {w.shape}")
     b, t, _ = w.shape
-    total = nx.sum_(nx.abs_(nx.consecutive_diff(w)))
+    total = nx.total_variation(w)
     return total, nx.mul(total, 1.0 / (b * t))
 
 

@@ -152,10 +152,8 @@ class CausalAttention:
             k, v = Tensor(k_all), Tensor(v_all)
             if t > 1:
                 mask = _causal_mask(t, cache.length, self.wq.dtype)
-        att = nx.softmax_lastdim(
-            nx.matmul(q, nx.swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.head_dim), mask
-        )
-        out = nx.reshape(nx.swapaxes(nx.matmul(att, v), 1, 2), (b, t, h))
+        att = nx.attention(q, k, v, 1.0 / np.sqrt(self.head_dim), mask)
+        out = nx.reshape(nx.swapaxes(att, 1, 2), (b, t, h))
         return nx.matmul(out, self.wo)
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -172,9 +170,9 @@ class MoELayer:
 
     The (token, slot) pairs are grouped by expert with one stable sort, so
     each hit expert runs once on its contiguous slice of gathered rows (the
-    grouped dispatch of MegaBlocks, without capacity dropping); the expert
-    outputs are concatenated, scaled by their gates and scattered back to
-    their tokens once per layer.
+    grouped dispatch of MegaBlocks, without capacity dropping); one
+    ``combine_rows`` node per layer mixes the expert outputs back into their
+    tokens by gate.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -198,8 +196,7 @@ class MoELayer:
             if count:
                 outs.append(expert.forward(nx.take_rows(x2, rows[lo : lo + count])))
                 lo += count
-        gates = nx.take_rows(nx.reshape(selected.gate_weights, (n * k, 1)), order)
-        y = nx.scatter_rows(nx.mul(nx.concat_rows(outs), gates), rows, n)
+        y = nx.combine_rows(outs, selected.gate_weights, order)
         return nx.reshape(y, (b, t, h)), logits, weights, selected
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:

@@ -1,15 +1,15 @@
 """Minimal dense-tensor reverse-mode autodiff on top of numpy.
 
 Covers exactly the operations the toy language model and its routing losses
-run, one op per job: matmul, broadcasted add/mul/div, abs, sum/mean, softmax
-along the last axis with a temperature and an additive mask, SiLU, layer
-normalization, row gather (token and position lookups too), scatter and
-concatenation, gathers along the last axis, reshape/swapaxes, consecutive
-differences, and a fused cross-entropy. Gradients accumulate additively into
-``Tensor.grad``; callers zero them between steps. Inside ``with no_grad():``
-every operation returns a plain tensor with no parents and no backward closure,
-so forward-only callers (evaluation, decoding) build no graph; the forward
-values are the same bits either way.
+run, one op per job: matmul, broadcasted add/mul, sum/mean, softmax along the
+last axis with a temperature, masked scaled dot-product attention, SwiGLU,
+layer normalization, row gather (token and position lookups too), the gated
+combine of expert outputs, the renormalized top-k gates, reshape/swapaxes,
+total variation along the token axis, and a fused cross-entropy. Gradients
+accumulate additively into ``Tensor.grad``; callers zero them between steps.
+Inside ``with no_grad():`` every operation returns a plain tensor with no
+parents and no backward closure, so forward-only callers (evaluation, decoding)
+build no graph; the forward values are the same bits either way.
 
 One rule holds the backward pass together: every gradient contribution is
 summed out of place, and no gradient array is written after it is handed out.
@@ -171,18 +171,6 @@ def mul(a: Tensor, b) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    return _result(
-        ad / bd,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / bd, a.shape),
-            _unbroadcast(-g * ad / (bd * bd), b.shape),
-        ),
-    )
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with gradients to both operands; supports stacked dims."""
     if a.ndim < 2 or b.ndim < 2:
@@ -198,12 +186,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _result(data, (a, b), backward)
-
-
-def abs_(a: Tensor) -> Tensor:
-    """Elementwise absolute value; subgradient 0 at the kink."""
-    sign = np.sign(a.data)
-    return _result(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -229,50 +211,60 @@ def mean_(a: Tensor, axis=None) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def softmax_lastdim(
-    x: Tensor, temperature: float = 1.0, mask: np.ndarray | None = None
-) -> Tensor:
-    """softmax(temperature * x + mask) along the last axis, max-stabilized.
-
-    The temperature multiplies the logits before normalization; it must be
-    strictly positive. ``mask`` is an additive constant (no gradient), such as
-    attention's causal mask with -1e30 above the diagonal.
-    """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = temperature * x.data
-    if mask is not None:
-        z = z + mask
+def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, temperature) -> np.ndarray:
+    """Gradient to x of y = softmax(temperature * x + constant)."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True)) * temperature
+
+
+def softmax_lastdim(x: Tensor, temperature: float = 1.0) -> Tensor:
+    """softmax(temperature * x) along the last axis, max-stabilized; the
+    temperature must be strictly positive."""
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    y = _softmax(temperature * x.data)
+    return _result(y, (x,), lambda g: (_softmax_grad(g, y, temperature),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask: np.ndarray | None) -> Tensor:
+    """softmax(scale * q @ k^T + mask) @ v over stacked (..., T, head_dim) heads;
+    ``mask`` is an additive constant (-1e30 above a causal diagonal) or None."""
+    qd, kd, vd = q.data, k.data, v.data
+    z = scale * (qd @ np.swapaxes(kd, -1, -2))
+    y = _softmax(z if mask is None else z + mask)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot) * temperature,)
+        gz = _softmax_grad(g @ np.swapaxes(vd, -1, -2), y, scale)
+        gk = np.swapaxes(np.swapaxes(qd, -1, -2) @ gz, -1, -2)
+        return gz @ kd, gk, np.swapaxes(y, -1, -2) @ g
 
-    return _result(y, (x,), backward)
+    return _result(y @ vd, (q, k, v), backward)
 
 
-def silu(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    data = x.data * s
+def swiglu(gate: Tensor, up: Tensor) -> Tensor:
+    """gate * sigmoid(gate) * up, the gated unit of a SwiGLU feed-forward."""
+    gd, ud = gate.data, up.data
+    s = 1.0 / (1.0 + np.exp(-gd))
+    act = gd * s
 
     def backward(g):
-        return (g * s * (1.0 + x.data * (1.0 - s)),)
+        return g * ud * s * (1.0 + gd * (1.0 - s)), g * act
 
-    return _result(data, (x,), backward)
+    return _result(act * ud, (gate, up), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
+    d = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + 1e-5)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
-    d = x.shape[-1]
 
     def backward(g):
         ggain = _unbroadcast(g * xhat, gain.shape)
@@ -280,7 +272,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx_hat = g * gain.data
         gx = inv * (
             gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
+            - gx_hat.sum(axis=-1, keepdims=True) / d
             - xhat * (gx_hat * xhat).sum(axis=-1, keepdims=True) / d
         )
         return gx, ggain, gbias
@@ -305,37 +297,45 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def scatter_rows(rows: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Inverse of take_rows: out[idx[m]] += rows[m] into a fresh (num_rows, D)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    data = np.zeros((num_rows, rows.shape[-1]), dtype=rows.dtype)
-    _kernels.index_add_rows(data, idx, rows.data)
-
-    def backward(g):
-        return (g[idx],)
-
-    return _result(data, (rows,), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-d tensors along the rows; backward splits the gradient back."""
-    data = np.concatenate([p.data for p in parts])
+def combine_rows(parts: Sequence[Tensor], gates: Tensor, order: np.ndarray) -> Tensor:
+    """Gated mix of expert outputs into their n tokens: a fresh (n, D) with
+    out[order[m] // K] += rows[m] * gates.flat[order[m]], where ``rows`` stacks
+    the 2-d ``parts`` and ``gates`` is (..., K), so order[m] is a flat slot."""
+    k = gates.shape[-1]
+    order = np.asarray(order, dtype=np.int64)
+    tokens = order // k
+    flat = gates.data.reshape(-1, 1)
+    picked = flat[order]
+    stacked = np.concatenate([p.data for p in parts])
+    mixed = stacked * picked
+    data = np.zeros((flat.shape[0] // k, stacked.shape[-1]), dtype=mixed.dtype)
+    _kernels.index_add_rows(data, tokens, mixed)
     bounds = np.cumsum([p.shape[0] for p in parts[:-1]])
-    return _result(data, tuple(parts), lambda g: tuple(np.split(g, bounds)))
-
-
-def take_along_lastdim(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[..., k] = x[..., idx[..., k]] with idx matching x on leading dims."""
-    idx = np.asarray(idx, dtype=np.int64)
-    data = np.take_along_axis(x.data, idx, axis=-1)
-    idx2 = idx.reshape(-1, idx.shape[-1])
 
     def backward(g):
+        g_mixed = g[tokens]
+        g_flat = np.zeros_like(flat)
+        _kernels.index_add_rows(g_flat, order, (g_mixed * stacked).sum(axis=1, keepdims=True))
+        return (*np.split(g_mixed * picked, bounds), g_flat.reshape(gates.shape))
+
+    return _result(data, (*parts, gates), backward)
+
+
+def take_normalized(x: Tensor, idx: np.ndarray) -> Tensor:
+    """The entries ``idx`` picks along the last axis, renormalized to sum to
+    one: out[..., j] = x[..., idx[..., j]] / sum_i x[..., idx[..., i]]."""
+    idx = np.asarray(idx, dtype=np.int64)
+    taken = np.take_along_axis(x.data, idx, axis=-1)
+    total = taken.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g_total = (-g * taken / (total * total)).sum(axis=-1, keepdims=True)
+        g_taken = (g / total + g_total).reshape(-1, idx.shape[-1])
         gx = np.zeros_like(x.data)
-        _kernels.scatter_add_lastdim(gx.reshape(-1, x.shape[-1]), idx2, g.reshape(idx2.shape))
+        _kernels.scatter_add_lastdim(gx.reshape(-1, x.shape[-1]), idx.reshape(g_taken.shape), g_taken)
         return (gx,)
 
-    return _result(data, (x,), backward)
+    return _result(taken / total, (x,), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -349,19 +349,22 @@ def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
     )
 
 
-def consecutive_diff(x: Tensor) -> Tensor:
-    """Difference of consecutive slices along axis 1: x[:, 1:] - x[:, :-1]."""
+def total_variation(x: Tensor) -> Tensor:
+    """sum |x[:, t + 1] - x[:, t]| over every entry: the total variation along
+    axis 1, a scalar; subgradient 0 where neighbours are equal."""
     if x.shape[1] < 1:
         raise ValueError(f"axis 1 of {x.shape} is empty")
-    data = x.data[:, 1:] - x.data[:, :-1]
+    diff = x.data[:, 1:] - x.data[:, :-1]
+    sign = np.sign(diff)
 
     def backward(g):
+        g_diff = np.broadcast_to(g, diff.shape) * sign
         gx = np.zeros_like(x.data)
-        gx[:, 1:] += g
-        gx[:, :-1] -= g
+        gx[:, 1:] += g_diff
+        gx[:, :-1] -= g_diff
         return (gx,)
 
-    return _result(data, (x,), backward)
+    return _result(np.abs(diff).sum(), (x,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -58,9 +58,7 @@ def route(logits: Tensor, temperature: float, k: int) -> tuple[RoutingWeights, S
     flat = weights.data.reshape(b * t, num_experts)
     indices = _kernels.topk_lastdim(flat, k).reshape(b, t, k)
 
-    taken = nx.take_along_lastdim(weights, indices)
-    gates = nx.div(taken, nx.sum_(taken, axis=-1, keepdims=True))
-    return RoutingWeights(weights), SelectedExperts(indices, gates)
+    return RoutingWeights(weights), SelectedExperts(indices, nx.take_normalized(weights, indices))
 
 
 def expert_load_fractions(

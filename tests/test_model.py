@@ -11,6 +11,7 @@ from moelab.errors import DataError
 from moelab.model import KVCache, RoutingTrace, TransformerLM
 from moelab.numerics import Tensor
 from moelab.routing import route
+from moelab.trainer import Optimizer, TrainConfig, sample_batch, train_step
 
 
 def tiny_config(**kw):
@@ -68,22 +69,8 @@ def test_moe_layer_against_brute_force_mixture():
         np.testing.assert_allclose(y.data[b, t], want, atol=1e-12)
 
 
-def test_moe_layer_scatters_once_per_layer(monkeypatch):
-    model = TransformerLM(tiny_config(layers=3), seed=12)
-    calls = []
-    scatter = nx.scatter_rows
-
-    def counted(*args):
-        calls.append(args[2])
-        return scatter(*args)
-
-    monkeypatch.setattr(nx, "scatter_rows", counted)
-    model.forward(np.random.default_rng(12).integers(0, 17, size=(2, 5)))
-    assert calls == [10, 10, 10]
-
-
-def test_attention_scores_are_one_softmax_node(monkeypatch):
-    model = TransformerLM(tiny_config(layers=1), seed=13)
+def _record_nodes(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """(op name, shape) of every graph node built while the patch is on."""
     nodes = []
     result = nx._result
 
@@ -92,11 +79,39 @@ def test_attention_scores_are_one_softmax_node(monkeypatch):
         return result(data, parents, backward)
 
     monkeypatch.setattr(nx, "_result", recorded)
+    return nodes
+
+
+def test_moe_layer_combines_once_per_layer(monkeypatch):
+    model = TransformerLM(tiny_config(layers=3), seed=12)
+    nodes = _record_nodes(monkeypatch)
+    model.forward(np.random.default_rng(12).integers(0, 17, size=(2, 5)))
+    assert [shape for op, shape in nodes if op == "combine_rows"] == [(10, 16)] * 3
+
+
+def test_attention_builds_no_score_sized_node(monkeypatch):
+    """The (B, heads, T, T) scores and weights live inside one attention node."""
+    model = TransformerLM(tiny_config(layers=1), seed=13)
+    nodes = _record_nodes(monkeypatch)
     model.forward(np.random.default_rng(13).integers(0, 17, size=(2, 5)))
-    # (B, heads, T, T): the q @ k^T product, then scale, mask and softmax in one node
-    assert [op for op, shape in nodes if shape == (2, 2, 5, 5)] == [
-        "matmul", "softmax_lastdim"
-    ]
+    assert [shape for op, shape in nodes if op == "attention"] == [(2, 2, 5, 8)]
+    assert (2, 2, 5, 5) not in [shape for _, shape in nodes]
+
+
+@pytest.mark.parametrize("expert_kind, want", [("dense", 116), ("wd", 140)])
+def test_train_step_node_count(monkeypatch, expert_kind, want):
+    """Nodes of one train step: 10 + layers * (33 + hit experts * (1 + f)):
+    each hit expert's row gather, then f = 4 nodes in a dense expert (three
+    matmuls and swiglu) or 7 in a WD one (six matmuls and swiglu)."""
+    cfg = tiny_config(expert_kind=expert_kind, rank=4, dtype="float32")
+    model = TransformerLM(cfg, seed=14)
+    tc = TrainConfig(steps=2, batch_size=2, seq_len=cfg.seq_len, eval_batches=1)
+    batch = sample_batch(np.arange(100) % cfg.vocab, 2, cfg.seq_len, np.random.default_rng(14))
+    nodes = _record_nodes(monkeypatch)
+    train_step(model, batch, Optimizer(model, tc), 0)
+    assert len(nodes) == want
+    hit = sum(op == "swiglu" for op, _ in nodes)  # one per expert run
+    assert hit == cfg.layers * cfg.experts
 
 
 def test_moe_layer_dense_limit_uniform_gates_is_mean_of_experts():

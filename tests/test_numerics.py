@@ -172,14 +172,6 @@ def _case_mul(rng):
     return lambda a, b: _weighted_sum(nx.mul(a, b), c), [a, b]
 
 
-def _case_div(rng):
-    shape = _dims(rng, 2)
-    a = rng.normal(size=shape)
-    b = rng.uniform(0.5, 2.0, size=shape) * np.where(rng.random(shape) < 0.5, -1, 1)
-    c = rng.normal(size=shape)
-    return lambda a, b: _weighted_sum(nx.div(a, b), c), [a, b]
-
-
 def _case_matmul(rng):
     n, k, m = _dims(rng, 3)
     a, b = rng.normal(size=(n, k)), rng.normal(size=(k, m))
@@ -192,14 +184,6 @@ def _case_batched_matmul(rng):
     a, b = rng.normal(size=(b_, n, k)), rng.normal(size=(b_, k, m))
     c = rng.normal(size=(b_, n, m))
     return lambda a, b: _weighted_sum(nx.matmul(a, b), c), [a, b]
-
-
-def _case_abs(rng):
-    shape = _dims(rng, 2)
-    a = rng.normal(size=shape)
-    a = np.where(np.abs(a) < 1e-3, 0.5, a)  # keep away from the kink
-    c = rng.normal(size=shape)
-    return lambda a: _weighted_sum(nx.abs_(a), c), [a]
 
 
 def _case_sum_axis(rng):
@@ -222,17 +206,26 @@ def _case_softmax(rng):
     shape = _dims(rng, 3)
     a = rng.normal(scale=2.0, size=shape)
     tau = float(rng.uniform(0.5, 2.0))
-    mask = np.where(rng.random(shape[-2:]) < 0.3, -1e30, rng.normal(size=shape[-2:]))
-    mask[:, int(rng.integers(shape[-1]))] = 0.0  # every row keeps a finite entry
     c = rng.normal(size=shape)
-    return lambda a: _weighted_sum(nx.softmax_lastdim(a, tau, mask), c), [a]
+    return lambda a: _weighted_sum(nx.softmax_lastdim(a, tau), c), [a]
 
 
-def _case_silu(rng):
+def _case_attention(rng):
+    b, h, t, s, d = _dims(rng, 5)
+    q = rng.normal(size=(b, h, t, d))
+    k, v = rng.normal(size=(b, h, s, d)), rng.normal(size=(b, h, s, d))
+    scale = float(rng.uniform(0.5, 2.0))
+    mask = np.where(rng.random((t, s)) < 0.3, -1e30, rng.normal(size=(t, s)))
+    mask[:, int(rng.integers(s))] = 0.0  # every row keeps a finite entry
+    c = rng.normal(size=(b, h, t, d))
+    return lambda q, k, v: _weighted_sum(nx.attention(q, k, v, scale, mask), c), [q, k, v]
+
+
+def _case_swiglu(rng):
     shape = _dims(rng, 2)
-    a = rng.normal(scale=2.0, size=shape)
+    gate, up = rng.normal(scale=2.0, size=shape), rng.normal(size=shape)
     c = rng.normal(size=shape)
-    return lambda a: _weighted_sum(nx.silu(a), c), [a]
+    return lambda gate, up: _weighted_sum(nx.swiglu(gate, up), c), [gate, up]
 
 
 def _case_layer_norm(rng):
@@ -256,33 +249,77 @@ def _case_take_rows(rng):
     return lambda table: _weighted_sum(nx.take_rows(table, ids), c), [table]
 
 
-def _case_take_scatter_rows(rng):
-    n, d, m = int(rng.integers(2, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    x = rng.normal(size=(n, d))
-    idx = rng.integers(0, n, size=m)
+def _case_combine_rows(rng):
+    n, k, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    order = rng.permutation(n * k)
+    cuts = np.sort(rng.choice(np.arange(1, n * k), size=min(2, n * k - 1), replace=False))
+    parts = [rng.normal(size=(m, d)) for m in np.diff([0, *cuts, n * k])]
+    gates = rng.normal(size=(n, k))
     c = rng.normal(size=(n, d))
 
-    def f(x):
-        rows = nx.take_rows(x, idx)
-        return _weighted_sum(nx.scatter_rows(rows, idx, n), c)
+    def f(*args):
+        return _weighted_sum(nx.combine_rows(args[:-1], args[-1], order), c)
 
-    return f, [x]
-
-
-def _case_take_along_lastdim(rng):
-    b, t, e = _dims(rng, 3)
-    k = int(rng.integers(1, e + 1))
-    x = rng.normal(size=(b, t, e))
-    idx = rng.integers(0, e, size=(b, t, k))
-    c = rng.normal(size=(b, t, k))
-    return lambda x: _weighted_sum(nx.take_along_lastdim(x, idx), c), [x]
+    return f, [*parts, gates]
 
 
 def _case_concat_rows(rng):
+    """K = 1: each token gets one row, so the op is the row concatenation of
+    the parts, permuted and gated, and its backward the split."""
     d = int(rng.integers(1, 7))
     parts = [rng.normal(size=(int(rng.integers(1, 5)), d)) for _ in range(3)]
-    c = rng.normal(size=(sum(p.shape[0] for p in parts), d))
-    return lambda a, b, x: _weighted_sum(nx.concat_rows([a, b, x]), c), parts
+    n = sum(p.shape[0] for p in parts)
+    order = rng.permutation(n)
+    gates = rng.normal(size=(n, 1))
+    c = rng.normal(size=(n, d))
+    return lambda a, b, x, gates: _weighted_sum(nx.combine_rows([a, b, x], gates, order), c), [*parts, gates]
+
+
+def _case_take_scatter_rows(rng):
+    """The round trip of the MoE layer: gather each slot's token row, then
+    scatter-add the gated rows back, K >= 2 rows to a token."""
+    n, k, d = int(rng.integers(1, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 7))
+    x = rng.normal(size=(n, d))
+    order = rng.permutation(n * k)
+    gates = rng.normal(size=(n, k))
+    c = rng.normal(size=(n, d))
+
+    def f(x, gates):
+        rows = nx.take_rows(x, order // k)
+        return _weighted_sum(nx.combine_rows([rows], gates, order), c)
+
+    return f, [x, gates]
+
+
+def _case_take_normalized(rng):
+    b, t, e = _dims(rng, 3)
+    k = int(rng.integers(1, e + 1))
+    x = rng.uniform(0.1, 1.0, size=(b, t, e))  # positive, like routing weights
+    idx = rng.integers(0, e, size=(b, t, k))  # a repeated id accumulates
+    c = rng.normal(size=(b, t, k))
+    return lambda x: _weighted_sum(nx.take_normalized(x, idx), c), [x]
+
+
+def _case_div(rng):
+    """Every column picked once: the op is the quotient x / x.sum(-1), whose
+    divisor gradient reaches every entry."""
+    b, t, e = _dims(rng, 3)
+    x = rng.uniform(0.1, 2.0, size=(b, t, e))
+    idx = np.argsort(rng.random(size=(b, t, e)), axis=-1)
+    c = rng.normal(size=(b, t, e))
+    return lambda x: _weighted_sum(nx.take_normalized(x, idx), c), [x]
+
+
+def _case_take_along_lastdim(rng):
+    """K >= 2 picks with a forced repeat: the gather's scatter-add backward
+    accumulates the repeated column and leaves unpicked columns at zero."""
+    b, t, e = _dims(rng, 3)
+    k = int(rng.integers(2, 5))
+    x = rng.uniform(0.1, 1.0, size=(b, t, e))
+    idx = rng.integers(0, e, size=(b, t, k))
+    idx[..., -1] = idx[..., 0]
+    c = rng.normal(size=(b, t, k))
+    return lambda x: _weighted_sum(nx.take_normalized(x, idx), c), [x]
 
 
 def _case_reshape_swap(rng):
@@ -302,23 +339,45 @@ def _case_cross_entropy(rng):
     return lambda logits: nx.cross_entropy(logits, targets), [logits]
 
 
-def _case_consecutive_diff(rng):
+def _case_total_variation(rng):
     b, t, e = _dims(rng, 3)
-    t = max(t, 2)
-    x = rng.normal(size=(b, t, e))
-    c = rng.normal(size=(b, t - 1, e))
-    return lambda x: _weighted_sum(nx.consecutive_diff(x), c), [x]
+    steps = rng.uniform(0.1, 1.0, size=(b, t, e)) * rng.choice([-1.0, 1.0], size=(b, t, e))
+    x = np.cumsum(steps, axis=1)  # neighbours differ by >= 0.1: away from the kink
+    # interior gradients are often exactly 0; an O(1) objective keeps the
+    # rounding of its central differences below rel_err's 1e-6 floor
+    return lambda x: nx.mul(nx.total_variation(x), 1.0 / (b * t * e)), [x]
+
+
+def _case_abs(rng):
+    """T = 2: one difference per (b, e), so the op is sum |x1 - x0|, with
+    differences of both signs kept away from the kink."""
+    b, e = _dims(rng, 2)
+    x0 = rng.normal(size=(b, 1, e))
+    step = rng.uniform(0.1, 1.0, size=(b, 1, e)) * rng.choice([-1.0, 1.0], size=(b, 1, e))
+    x = np.concatenate([x0, x0 + step], axis=1)
+    return lambda x: nx.mul(nx.total_variation(x), 1.0 / (b * e)), [x]
+
+
+def _case_consecutive_diff(rng):
+    """T >= 3 zig-zag: each interior entry feeds two differences of opposite
+    sign, so its gradient sums two contributions (+-2, not 0)."""
+    b, t, e = int(rng.integers(1, 7)), int(rng.integers(3, 7)), int(rng.integers(1, 7))
+    sign = np.where(np.arange(t) % 2 == 0, 1.0, -1.0)[None, :, None]
+    steps = rng.uniform(0.1, 1.0, size=(b, t, e)) * sign * rng.choice([-1.0, 1.0], size=(b, 1, e))
+    x = np.cumsum(steps, axis=1)
+    return lambda x: nx.mul(nx.total_variation(x), 1.0 / (b * t * e)), [x]
 
 
 def _case_fan_out(rng):
     """Interior nodes that feed both an add and a later op, so each sums two
-    contributions, one of them the array add hands to both operands."""
+    contributions, one of them the array add hands to both operands; each
+    leaf feeds two ops."""
     shape = _dims(rng, 2)
     a, b = rng.normal(size=shape), rng.normal(size=shape)
     c = rng.normal(size=shape)
 
     def f(a, b):
-        p, q = nx.silu(a), nx.silu(b)
+        p, q = nx.swiglu(a, b), nx.swiglu(b, a)
         return _weighted_sum(nx.add(nx.add(p, q), nx.mul(p, q)), c)
 
     return f, [a, b]
@@ -327,26 +386,30 @@ def _case_fan_out(rng):
 OP_CASES = [
     _case_add,
     _case_mul,
-    _case_div,
     _case_matmul,
     _case_batched_matmul,
-    _case_abs,
     _case_sum_axis,
     _case_mean,
     _case_softmax,
-    _case_silu,
+    _case_attention,
+    _case_swiglu,
     _case_layer_norm,
     _case_take_rows,
-    _case_take_scatter_rows,
-    _case_take_along_lastdim,
+    _case_combine_rows,
     _case_concat_rows,
+    _case_take_scatter_rows,
+    _case_take_normalized,
+    _case_div,
+    _case_take_along_lastdim,
     _case_reshape_swap,
     _case_cross_entropy,
+    _case_total_variation,
+    _case_abs,
     _case_consecutive_diff,
     _case_fan_out,
 ]
 
-TRIALS_PER_OP = 6  # 19 cases x 6 = 114 randomized trials
+TRIALS_PER_OP = 6  # 23 cases x 6 = 138 randomized trials
 
 
 @pytest.mark.parametrize("case", OP_CASES, ids=lambda c: c.__name__)
@@ -371,3 +434,140 @@ def test_op_gradients_match_finite_differences(case):
 
 def test_total_trial_budget():
     assert len(OP_CASES) * TRIALS_PER_OP >= 100
+
+
+# --- fused ops against the generic-op chains they replace ---------------------
+# Each fused op runs the numpy expressions of the chain of generic ops it
+# replaced, in the same order, so training and decoding kept their bits. The
+# chains are written out here; a change to an op's arithmetic fails these
+# exact comparisons, in both dtypes.
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+def _fused(out, parents, g):
+    """Forward value and the gradients of one upstream ``g`` of a fused node."""
+    assert out._parents == tuple(parents)
+    return [out.data, *out._backward(g)]
+
+
+DTYPES = ["float32", "float64"]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("masked", [True, False])
+def test_attention_is_the_bits_of_its_chain(dtype, masked):
+    """swapaxes(k), q @ k^T, softmax(scale * s + mask), @ v; q, k and v are
+    head-split views as in the model, the scale a float64 scalar."""
+    rng = np.random.default_rng(31)
+    b, h, t, d = 2, 3, 5, 3  # a scale that is not a power of two rounds
+    q, k, v = (np.swapaxes(rng.normal(size=(b, t, h, d)).astype(dtype), 1, 2) for _ in range(3))
+    scale = 1.0 / np.sqrt(d)
+    mask = np.triu(np.full((t, t), -1e30, dtype=dtype), 1) if masked else None
+    kt = np.swapaxes(k, -1, -2)
+    z = scale * (q @ kt)
+    if masked:
+        z = z + mask
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = y @ v
+    g = rng.normal(size=out.shape).astype(out.dtype)
+    g_y, g_v = g @ np.swapaxes(v, -1, -2), np.swapaxes(y, -1, -2) @ g
+    g_s = y * (g_y - (g_y * y).sum(axis=-1, keepdims=True)) * scale
+    g_q = g_s @ np.swapaxes(kt, -1, -2)
+    g_k = np.swapaxes(np.swapaxes(q, -1, -2) @ g_s, -1, -2)
+    args = [nx.parameter(a) for a in (q, k, v)]
+    got = _fused(nx.attention(*args, scale, mask), args, g)
+    _assert_same_bits(got, [out, g_q, g_k, g_v])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_swiglu_is_the_bits_of_its_chain(dtype):
+    """SiLU of the gate, then a product with up."""
+    rng = np.random.default_rng(32)
+    gate, up = (rng.normal(scale=2.0, size=(7, 5)).astype(dtype) for _ in range(2))
+    s = 1.0 / (1.0 + np.exp(-gate))
+    act = gate * s
+    g = rng.normal(size=gate.shape).astype(dtype)
+    g_act = g * up
+    g_gate = g_act * s * (1.0 + gate * (1.0 - s))
+    args = [nx.parameter(gate), nx.parameter(up)]
+    _assert_same_bits(_fused(nx.swiglu(*args), args, g), [act * up, g_gate, g * act])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_take_normalized_is_the_bits_of_its_chain(dtype, k):
+    """A gather along the last axis, its sum over that axis, and a division."""
+    rng = np.random.default_rng(33)
+    x = rng.uniform(0.1, 1.0, size=(2, 5, 4)).astype(dtype)
+    idx = np.argsort(rng.random((2, 5, 4)), axis=-1)[..., :k]
+    taken = np.take_along_axis(x, idx, axis=-1)
+    total = taken.sum(axis=-1, keepdims=True)
+    g = rng.normal(size=taken.shape).astype(dtype)
+    g_total = -g * taken / (total * total)  # the quotient's gradient to its divisor,
+    if k > 1:  # summed back to the divisor's shape
+        g_total = g_total.sum(axis=-1, keepdims=True)
+    g_taken = g / total + np.broadcast_to(g_total, taken.shape)
+    g_x = np.zeros_like(x)
+    np.add.at(g_x.reshape(-1, 4), (np.arange(10)[:, None], idx.reshape(-1, k)),
+              g_taken.reshape(-1, k))
+    args = [nx.parameter(x)]
+    _assert_same_bits(_fused(nx.take_normalized(args[0], idx), args, g),
+                      [taken / total, g_x])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_total_variation_is_the_bits_of_its_chain(dtype):
+    """Consecutive differences along axis 1, their absolute values and a sum;
+    a tie has subgradient 0."""
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=(2, 6, 4)).astype(dtype)
+    x[:, 3] = x[:, 2]
+    diff = x[:, 1:] - x[:, :-1]
+    g = np.asarray(rng.normal(), dtype=dtype)
+    g_diff = np.broadcast_to(g, diff.shape) * np.sign(diff)
+    g_x = np.zeros_like(x)
+    g_x[:, 1:] += g_diff
+    g_x[:, :-1] -= g_diff
+    args = [nx.parameter(x)]
+    _assert_same_bits(_fused(nx.total_variation(args[0]), args, g),
+                      [np.abs(diff).sum(), g_x])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("d", [1, 6])
+def test_combine_rows_is_the_bits_of_its_chain(dtype, d):
+    """The gate gather, a row concatenation, the gated product and a row
+    scatter-add, with the parts grouped as the MoE layer groups them."""
+    rng = np.random.default_rng(35)
+    n, k = 5, 2
+    ids = np.argsort(rng.random((n, 4)), axis=-1)[:, :k].reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    sizes = np.bincount(ids)[np.bincount(ids) > 0]
+    parts = [rng.normal(size=(m, d)).astype(dtype) for m in sizes]
+    gates = rng.uniform(size=(n, k)).astype(dtype)
+    flat = gates.reshape(n * k, 1)
+    picked = flat[order]
+    stacked = np.concatenate(parts)
+    mixed = stacked * picked
+    out = np.zeros((n, d), dtype=mixed.dtype)
+    np.add.at(out, order // k, mixed)
+    g = rng.normal(size=out.shape).astype(dtype)
+    g_mixed = g[order // k]
+    g_picked = g_mixed * stacked  # mul's gradient to the gates,
+    if d > 1:  # summed back to their (n*k, 1) shape
+        g_picked = g_picked.sum(axis=(1,), keepdims=True)
+    g_flat = np.zeros_like(flat)
+    np.add.at(g_flat, order, g_picked.reshape(-1, 1))
+    g_parts = np.split(g_mixed * picked, np.cumsum(sizes[:-1]))
+    args = [nx.parameter(p) for p in parts] + [nx.parameter(gates)]
+    got = _fused(nx.combine_rows(args[:-1], args[-1], order), args, g)
+    _assert_same_bits(got, [out, *g_parts, g_flat.reshape(n, k)])
