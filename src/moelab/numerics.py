@@ -17,6 +17,13 @@ A backward closure may therefore return views of its incoming gradient (a
 broadcast, a reshape, the same array to both operands of ``add``) without
 copying.
 
+``Tensor.backward`` releases the graph as it walks it: a node drops its parents
+and its closure once the closure has run, so a saved array is freed after the
+last backward that reads it and nothing is held once ``backward`` returns, even
+while the caller holds the loss; a second ``backward`` through it raises
+``RuntimeError``. A closure saves only what it cannot re-derive from its
+parents' data in one cheap pass, with the expression the forward used.
+
 Double precision is the default and is required for the finite-difference
 checks; single precision is accepted for the training path.
 """
@@ -98,7 +105,8 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -110,6 +118,7 @@ class Tensor:
                 if parent.requires_grad:
                     key = id(parent)
                     grads[key] = grads[key] + pg if key in grads else pg
+            node._parents, node._backward = (), _spent
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -128,6 +137,10 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = saved
+
+
+def _spent(g: np.ndarray):
+    raise RuntimeError("backward() already ran through this graph")
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -250,23 +263,23 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     """gate * sigmoid(gate) * up, the gated unit of a SwiGLU feed-forward."""
     gd, ud = gate.data, up.data
     s = 1.0 / (1.0 + np.exp(-gd))
-    act = gd * s
 
     def backward(g):
-        return g * ud * s * (1.0 + gd * (1.0 - s)), g * act
+        return g * ud * s * (1.0 + gd * (1.0 - s)), g * (gd * s)
 
-    return _result(act * ud, (gate, up), backward)
+    return _result(gd * s * ud, (gate, up), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     d = x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    mean = x.data.sum(axis=-1, keepdims=True) / d
+    xc = x.data - mean
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + 1e-5)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    data = xc * inv * gain.data + bias.data
 
     def backward(g):
+        xhat = (x.data - mean) * inv
         ggain = _unbroadcast(g * xhat, gain.shape)
         gbias = _unbroadcast(g, bias.shape)
         gx_hat = g * gain.data
@@ -300,22 +313,25 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 def combine_rows(parts: Sequence[Tensor], gates: Tensor, order: np.ndarray) -> Tensor:
     """Gated mix of expert outputs into their n tokens: a fresh (n, D) with
     out[order[m] // K] += rows[m] * gates.flat[order[m]], where ``rows`` stacks
-    the 2-d ``parts`` and ``gates`` is (..., K), so order[m] is a flat slot."""
+    the 2-d ``parts``, ``gates`` is (..., K) and ``order`` is a permutation of
+    its n·K flat slots. Each token sums its K rows in ascending m."""
     k = gates.shape[-1]
     order = np.asarray(order, dtype=np.int64)
-    tokens = order // k
     flat = gates.data.reshape(-1, 1)
     picked = flat[order]
-    stacked = np.concatenate([p.data for p in parts])
-    mixed = stacked * picked
-    data = np.zeros((flat.shape[0] // k, stacked.shape[-1]), dtype=mixed.dtype)
-    _kernels.index_add_rows(data, tokens, mixed)
+    mixed = np.concatenate([p.data for p in parts]) * picked
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    data = np.zeros((flat.shape[0] // k, mixed.shape[-1]), dtype=mixed.dtype)
+    for rows in np.sort(slot.reshape(-1, k), axis=1).T:
+        data += mixed[rows]
     bounds = np.cumsum([p.shape[0] for p in parts[:-1]])
 
     def backward(g):
-        g_mixed = g[tokens]
-        g_flat = np.zeros_like(flat)
-        _kernels.index_add_rows(g_flat, order, (g_mixed * stacked).sum(axis=1, keepdims=True))
+        g_mixed = g[order // k]
+        g_flat = np.empty_like(flat)
+        stacked = np.concatenate([p.data for p in parts])
+        g_flat[order] = (g_mixed * stacked).sum(axis=1, keepdims=True)
         return (*np.split(g_mixed * picked, bounds), g_flat.reshape(gates.shape))
 
     return _result(data, (*parts, gates), backward)
@@ -383,11 +399,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(f"target ids out of range [0, {v}): max={tf.max()}")
     rows = np.arange(n)
     m = flat.max(axis=-1, keepdims=True)
-    z = flat - m
-    lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
+    lse = np.log(np.exp(flat - m).sum(axis=-1)) + m[:, 0]
     data = np.asarray((lse - flat[rows, tf]).sum() / n, dtype=flat.dtype)
 
     def backward(g):
+        z = flat - m
         p = np.exp(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
         p[rows, tf] -= 1.0
         p *= g / n

@@ -2,7 +2,10 @@
 
 Training is seed-deterministic end to end: corpus split, batch order, model
 init and evaluation batches all derive from explicit integer seeds, so a rerun
-reproduces the metrics stream bit for bit.
+on the same machine with the same BLAS thread count reproduces the metrics
+stream bit for bit. Another thread count, or another CPU under a BLAS built to
+pick its kernels at run time (OpenBLAS ``DYNAMIC_ARCH``), may sum matrix
+products in another order and round differently in the last bits.
 """
 
 from __future__ import annotations

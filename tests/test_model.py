@@ -1,6 +1,7 @@
 """Model-level behavior: MoE layer mixing, causality, traces, checkpoints."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from moelab.errors import DataError
 from moelab.model import KVCache, RoutingTrace, TransformerLM
 from moelab.numerics import Tensor
 from moelab.routing import route
-from moelab.trainer import Optimizer, TrainConfig, sample_batch, train_step
+from moelab.trainer import Optimizer, TrainConfig, compute_losses, sample_batch, train_step
 
 
 def tiny_config(**kw):
@@ -112,6 +113,25 @@ def test_train_step_node_count(monkeypatch, expert_kind, want):
     assert len(nodes) == want
     hit = sum(op == "swiglu" for op, _ in nodes)  # one per expert run
     assert hit == cfg.layers * cfg.experts
+
+
+@pytest.mark.parametrize("expert_kind", ["dense", "wd"])
+def test_backward_releases_what_the_forward_held(expert_kind):
+    """After backward a step holds its parameter gradients and little else,
+    although the loss and the routing artifacts are still referenced."""
+    cfg = tiny_config(expert_kind=expert_kind, rank=4, seq_len=32)
+    model = TransformerLM(cfg, seed=15)
+    x, y = sample_batch(np.arange(400) % cfg.vocab, 8, cfg.seq_len, np.random.default_rng(15))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        total, _, artifacts = compute_losses(model, x, y)
+        forward = tracemalloc.get_traced_memory()[0] - base
+        total.backward()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * forward, (held, forward)
 
 
 def test_moe_layer_dense_limit_uniform_gates_is_mean_of_experts():

@@ -1,5 +1,6 @@
 """Autodiff core: op semantics, gradient fidelity against central differences."""
 
+import weakref
 import zlib
 
 import numpy as np
@@ -132,6 +133,27 @@ def test_diamond_graph_accumulates_once_per_path():
     z = nx.add(nx.mul(y, y), y)  # z = 4x^2 + 2x -> dz/dx = 8x + 2
     z.backward()
     assert np.allclose(x.grad, np.array([26.0]))
+
+
+def test_backward_frees_the_graph_while_the_loss_is_held():
+    x = nx.parameter(np.arange(12.0).reshape(3, 4))
+    hidden = nx.matmul(x, nx.parameter(np.ones((4, 5))))
+    saved = weakref.ref(hidden.data)  # the product's backward reads it
+    loss = nx.sum_(nx.mul(hidden, hidden))
+    del hidden
+    loss.backward()
+    assert saved() is None
+    want = np.broadcast_to(10 * x.data.sum(axis=1, keepdims=True), x.shape)  # 2 * h * 5 columns
+    np.testing.assert_array_equal(x.grad, want)
+
+
+def test_second_backward_through_a_graph_raises():
+    x = nx.parameter(np.array([1.0, -2.0]))
+    loss = nx.sum_(nx.mul(x, x))
+    loss.backward()
+    with pytest.raises(RuntimeError, match="already ran"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])
 
 
 def test_no_grad_records_no_graph_and_restores_grad_mode():
@@ -571,3 +593,58 @@ def test_combine_rows_is_the_bits_of_its_chain(dtype, d):
     args = [nx.parameter(p) for p in parts] + [nx.parameter(gates)]
     got = _fused(nx.combine_rows(args[:-1], args[-1], order), args, g)
     _assert_same_bits(got, [out, *g_parts, g_flat.reshape(n, k)])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_layer_norm_is_the_bits_of_its_chain(dtype):
+    """Centre, scale by the inverse standard deviation, then the affine map;
+    the backward reads the normalized input."""
+    rng = np.random.default_rng(36)
+    x = rng.normal(loc=0.5, size=(2, 5, 6)).astype(dtype)
+    gain, bias = (rng.normal(size=6).astype(dtype) for _ in range(2))
+    xc = x - x.sum(axis=-1, keepdims=True) / 6
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / 6 + 1e-5)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    g = rng.normal(size=x.shape).astype(dtype)
+    g_xhat = g * gain
+    g_x = inv * (g_xhat - g_xhat.sum(axis=-1, keepdims=True) / 6
+                 - xhat * (g_xhat * xhat).sum(axis=-1, keepdims=True) / 6)
+    args = [nx.parameter(a) for a in (x, gain, bias)]
+    _assert_same_bits(_fused(nx.layer_norm(*args), args, g),
+                      [out, g_x, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_cross_entropy_is_the_bits_of_its_chain(dtype):
+    """A max-shifted log-sum-exp minus the target logits, averaged; the
+    backward is the softmax less the one-hot targets."""
+    rng = np.random.default_rng(37)
+    logits = rng.normal(scale=3.0, size=(2, 5, 7)).astype(dtype)
+    targets = rng.integers(0, 7, size=(2, 5))
+    flat, tf, rows = logits.reshape(-1, 7), targets.reshape(-1), np.arange(10)
+    z = flat - flat.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1)) + flat.max(axis=-1)
+    out = np.asarray((lse - flat[rows, tf]).sum() / 10, dtype=dtype)
+    g = np.asarray(rng.normal(), dtype=dtype)
+    p = np.exp(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
+    p[rows, tf] -= 1.0
+    p *= g / 10
+    args = [nx.parameter(logits)]
+    _assert_same_bits(_fused(nx.cross_entropy(args[0], targets), args, g),
+                      [out, p.reshape(logits.shape)])
+
+
+def test_combine_rows_sums_a_token_in_row_order():
+    """With K = 3 the order of a token's sum shows in its bits: rows are added
+    in ascending stacked position, as a sequential scatter-add adds them."""
+    rng = np.random.default_rng(38)
+    n, k, d = 40, 3, 4
+    order = rng.permutation(n * k)
+    scales = 10.0 ** rng.integers(-3, 4, size=(n * k, 1))  # rows of mixed magnitude round
+    rows = (rng.normal(size=(n * k, d)) * scales).astype(np.float32)
+    gates = rng.uniform(size=(n, k)).astype(np.float32)
+    want = np.zeros((n, d), dtype=np.float32)
+    np.add.at(want, order // k, rows * gates.reshape(-1, 1)[order])
+    got = nx.combine_rows([Tensor(rows[:50]), Tensor(rows[50:])], Tensor(gates), order)
+    np.testing.assert_array_equal(got.data, want)
