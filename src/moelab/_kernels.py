@@ -20,8 +20,13 @@ USE_NUMBA = False
 
 
 def index_add_rows(out, idx, rows):
-    """out[idx[m]] += rows[m] for every m. np.add.at handles repeated indices."""
-    np.add.at(out, idx, rows)
+    """out[idx[m]] += rows[m] for every m. Strictly ascending nonnegative ids
+    name distinct rows and take the buffered ``out[idx] += rows``; any other
+    ids take np.add.at, which handles repeats. Both add each row once."""
+    if idx.size and idx[0] >= 0 and (idx[1:] > idx[:-1]).all():
+        out[idx] += rows
+    else:
+        np.add.at(out, idx, rows)
 
 
 def scatter_add_lastdim(out, idx, vals):

@@ -22,7 +22,10 @@ and its closure once the closure has run, so a saved array is freed after the
 last backward that reads it and nothing is held once ``backward`` returns, even
 while the caller holds the loss; a second ``backward`` through it raises
 ``RuntimeError``. A closure saves only what it cannot re-derive from its
-parents' data in one cheap pass, with the expression the forward used.
+parents' data in one cheap pass, with the expression the forward used: the
+backward of ``attention`` recomputes its (..., T, T) weights, and that of
+``swiglu`` its sigmoid. A step runs in place only where the out-of-place form
+has the same association and result dtype (``_into``), which keeps the bits.
 
 Double precision is the default and is required for the finite-difference
 checks; single precision is accepted for the training path.
@@ -224,15 +227,24 @@ def mean_(a: Tensor, axis=None) -> Tensor:
     return _result(data, (a,), backward)
 
 
+def _into(a: np.ndarray, op, b) -> np.ndarray:
+    """op(a, b), written over ``a`` when that keeps the result dtype."""
+    return op(a, b, out=a) if np.result_type(a, b) == a.dtype else op(a, b)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, computed in ``z``, which the caller owns."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray, temperature) -> np.ndarray:
     """Gradient to x of y = softmax(temperature * x + constant)."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True)) * temperature
+    gx = g - (g * y).sum(axis=-1, keepdims=True)  # in the dtype of g * y
+    gx *= y
+    return _into(gx, np.multiply, temperature)
 
 
 def softmax_lastdim(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -248,26 +260,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask: np.ndarray | None) -
     """softmax(scale * q @ k^T + mask) @ v over stacked (..., T, head_dim) heads;
     ``mask`` is an additive constant (-1e30 above a causal diagonal) or None."""
     qd, kd, vd = q.data, k.data, v.data
-    z = scale * (qd @ np.swapaxes(kd, -1, -2))
-    y = _softmax(z if mask is None else z + mask)
+
+    def weights():
+        z = _into(qd @ np.swapaxes(kd, -1, -2), np.multiply, scale)
+        return _softmax(z if mask is None else _into(z, np.add, mask))
 
     def backward(g):
+        y = weights()
         gz = _softmax_grad(g @ np.swapaxes(vd, -1, -2), y, scale)
         gk = np.swapaxes(np.swapaxes(qd, -1, -2) @ gz, -1, -2)
         return gz @ kd, gk, np.swapaxes(y, -1, -2) @ g
 
-    return _result(y @ vd, (q, k, v), backward)
+    return _result(weights() @ vd, (q, k, v), backward)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one buffer."""
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     """gate * sigmoid(gate) * up, the gated unit of a SwiGLU feed-forward."""
     gd, ud = gate.data, up.data
-    s = 1.0 / (1.0 + np.exp(-gd))
 
     def backward(g):
-        return g * ud * s * (1.0 + gd * (1.0 - s)), g * (gd * s)
+        s = _sigmoid(gd)
+        t = _into(_into(1.0 - s, np.multiply, gd), np.add, 1.0)  # 1 + gd * (1 - s)
+        g_gate = _into(_into(g * ud, np.multiply, s), np.multiply, t)
+        return g_gate, _into(_into(s, np.multiply, gd), np.multiply, g)
 
-    return _result(gd * s * ud, (gate, up), backward)
+    h = _into(_sigmoid(gd), np.multiply, gd)
+    return _result(_into(h, np.multiply, ud), (gate, up), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -276,7 +302,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     mean = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mean
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + 1e-5)
-    data = xc * inv * gain.data + bias.data
+    data = _into(_into(xc * inv, np.multiply, gain.data), np.add, bias.data)
 
     def backward(g):
         xhat = (x.data - mean) * inv
@@ -338,17 +364,19 @@ def combine_rows(parts: Sequence[Tensor], gates: Tensor, order: np.ndarray) -> T
 
 
 def take_normalized(x: Tensor, idx: np.ndarray) -> Tensor:
-    """The entries ``idx`` picks along the last axis, renormalized to sum to
-    one: out[..., j] = x[..., idx[..., j]] / sum_i x[..., idx[..., i]]."""
+    """The entries ``idx`` (..., K) picks along the last axis of ``x`` (..., E),
+    renormalized to sum to one: out[..., j] = x[..., idx[..., j]] / sum_i x[..., idx[..., i]]."""
     idx = np.asarray(idx, dtype=np.int64)
-    taken = np.take_along_axis(x.data, idx, axis=-1)
+    picks = idx.reshape(-1, idx.shape[-1])
+    rows = np.arange(len(picks))[:, None]
+    taken = x.data.reshape(-1, x.shape[-1])[rows, picks].reshape(idx.shape)
     total = taken.sum(axis=-1, keepdims=True)
 
     def backward(g):
         g_total = (-g * taken / (total * total)).sum(axis=-1, keepdims=True)
-        g_taken = (g / total + g_total).reshape(-1, idx.shape[-1])
+        g_taken = (g / total + g_total).reshape(picks.shape)
         gx = np.zeros_like(x.data)
-        _kernels.scatter_add_lastdim(gx.reshape(-1, x.shape[-1]), idx.reshape(g_taken.shape), g_taken)
+        _kernels.scatter_add_lastdim(gx.reshape(-1, x.shape[-1]), picks, g_taken)
         return (gx,)
 
     return _result(taken / total, (x,), backward)

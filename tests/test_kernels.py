@@ -1,6 +1,7 @@
 """Each numpy kernel against a plain-Python loop oracle."""
 
 import numpy as np
+import pytest
 
 from moelab import _kernels as K
 
@@ -97,6 +98,36 @@ def test_index_add_rows_matches_loop():
         K.index_add_rows(a, idx, rows)
         _loop_index_add_rows(b, idx, rows)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_index_add_rows_is_the_bits_of_add_at(dtype):
+    """Strictly ascending nonnegative ids take a buffered add, every other id
+    list np.add.at; both give np.add.at's bits."""
+    rng = np.random.default_rng(3)
+    n, d = 9, 3
+    cases = [
+        [0, 2, 3, 7, 8],  # strictly ascending
+        [5, 1, 7, 0],  # unsorted
+        [1, 1, 4, 4, 4],  # repeated
+        [6],
+        [],
+        [-1, 8],  # ascending, but -1 wraps onto row 8
+        [-9, 3],  # ascending and distinct after wrapping
+    ]
+    for ids in cases:
+        idx = np.asarray(ids, dtype=np.int64)
+        for rows_dtype in sorted({dtype, "float64"}):  # float32 out, float64 rows as wpe's backward
+            rows = rng.normal(size=(idx.size, d)).astype(rows_dtype)
+            rows[:, 0] = -0.0
+            for out in (np.zeros((n, d), dtype=dtype),
+                        rng.normal(size=(n, d)).astype(dtype)):
+                out[:, 1] = -0.0
+                want = out.copy()
+                np.add.at(want, idx, rows)
+                K.index_add_rows(out, idx, rows)
+                np.testing.assert_array_equal(out, want)
+                np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
 
 
 def test_scatter_add_lastdim_matches_loop():

@@ -2,6 +2,7 @@
 
 import copy
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -132,6 +133,43 @@ def test_backward_releases_what_the_forward_held(expert_kind):
     finally:
         tracemalloc.stop()
     assert held < 0.1 * forward, (held, forward)
+
+
+@pytest.mark.parametrize("expert_kind", ["dense", "wd"])
+def test_forward_keeps_no_attention_weights_or_sigmoid(monkeypatch, expert_kind):
+    """With the graph alive after the forward, no (B, heads, T, T) attention
+    weights are left, and no closure keeps a sigmoid of an expert's gate:
+    the backward recomputes both."""
+    cfg = tiny_config(expert_kind=expert_kind, rank=4)
+    model = TransformerLM(cfg, seed=16)
+    x, y = sample_batch(np.arange(100) % cfg.vocab, 2, cfg.seq_len, np.random.default_rng(16))
+    weights = []
+    softmax = nx._softmax
+
+    def recorded(z):
+        out = softmax(z)
+        if out.shape == (2, cfg.heads, cfg.seq_len, cfg.seq_len):
+            weights.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(nx, "_softmax", recorded)
+    total, _, _ = compute_losses(model, x, y)
+    assert len(weights) == cfg.layers and all(w() is None for w in weights)
+
+    # a sigmoid is the output of no single call a test can wrap, so the
+    # closures of the live graph are searched for one
+    nodes, stack, sigmoids, held = set(), [total], [], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes.add(id(node))
+            stack.extend(node._parents)
+            cells = node._backward.__closure__ if node._backward else None
+            held += [c.cell_contents for c in cells or () if isinstance(c.cell_contents, np.ndarray)]
+            if node._backward and node._backward.__qualname__.startswith("swiglu"):
+                sigmoids.append(1.0 / (1.0 + np.exp(-node._parents[0].data)))
+    assert len(sigmoids) == cfg.layers * cfg.experts
+    assert not any(a.shape == s.shape and np.array_equal(a, s) for a in held for s in sigmoids)
 
 
 def test_moe_layer_dense_limit_uniform_gates_is_mean_of_experts():

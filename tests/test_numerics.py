@@ -511,6 +511,57 @@ def test_attention_is_the_bits_of_its_chain(dtype, masked):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("temperature", [0.7, np.float64(0.7)])
+def test_softmax_lastdim_is_the_bits_of_its_chain(dtype, temperature):
+    """temperature * x, less the row max, exp, over the row sum; the backward
+    of the router's softmax, with a gradient in the dtype of x."""
+    rng = np.random.default_rng(39)
+    x = rng.normal(scale=3.0, size=(2, 5, 6)).astype(dtype)
+    z = temperature * x
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    g = rng.normal(size=x.shape).astype(dtype)
+    g_x = y * (g - (g * y).sum(axis=-1, keepdims=True)) * temperature
+    args = [nx.parameter(x)]
+    _assert_same_bits(_fused(nx.softmax_lastdim(args[0], temperature), args, g), [y, g_x])
+
+
+@pytest.mark.parametrize("a, b", [("float32", "float64"), ("float64", "float32")])
+def test_in_place_steps_keep_the_bits_of_mixed_dtypes(a, b):
+    """An in-place step would round into its buffer's dtype, however wide the
+    other operand; on operands of two dtypes swiglu, layer_norm and attention
+    give the bits and dtypes of their out-of-place chains."""
+    rng = np.random.default_rng(40)
+    gate, up = rng.normal(scale=2.0, size=(7, 5)).astype(a), rng.normal(size=(7, 5)).astype(b)
+    s = 1.0 / (1.0 + np.exp(-gate))
+    g = rng.normal(size=gate.shape).astype(b)
+    args = [nx.parameter(gate), nx.parameter(up)]
+    _assert_same_bits(_fused(nx.swiglu(*args), args, g),
+                      [gate * s * up, g * up * s * (1.0 + gate * (1.0 - s)), g * (gate * s)])
+
+    x = rng.normal(loc=0.5, size=(2, 5, 6)).astype(a)
+    gain, bias = (rng.normal(size=6).astype(b) for _ in range(2))
+    xc = x - x.sum(axis=-1, keepdims=True) / 6
+    xhat = xc * (1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / 6 + 1e-5))
+    _assert_same_bits([nx.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data],
+                      [xhat * gain + bias])
+
+    q, k, v = (rng.normal(size=(2, 3, 5, 4)).astype(a) for _ in range(3))
+    mask = np.triu(np.full((5, 5), -1e30, dtype=b), 1)
+    z = 0.7 * (q @ np.swapaxes(k, -1, -2)) + mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    g = rng.normal(size=(2, 3, 5, 4)).astype(b)
+    g_y = g @ np.swapaxes(v, -1, -2)
+    g_z = y * (g_y - (g_y * y).sum(axis=-1, keepdims=True)) * 0.7
+    args = [nx.parameter(t) for t in (q, k, v)]
+    _assert_same_bits(_fused(nx.attention(*args, 0.7, mask), args, g),
+                      [y @ v, g_z @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ g_z, -1, -2),
+                       np.swapaxes(y, -1, -2) @ g])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_swiglu_is_the_bits_of_its_chain(dtype):
     """SiLU of the gate, then a product with up."""
     rng = np.random.default_rng(32)
