@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, eval, generate, simulate-offload, ablate, fixtures.
-Exit codes: 0 success, 1 usage / bad parameters, 2 data error (unreadable or
-malformed inputs), 3 fixture or reference-check failure.
+Exit codes: 0 success, 1 usage / bad parameters / unwritable output, 2 data
+error (unreadable or malformed inputs), 3 fixture or reference-check failure.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"moelab: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # inputs fail as DataError, so this is an output path
+        print(f"moelab: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -95,9 +95,9 @@ def _causal_mask(t: int, end: int, dtype) -> np.ndarray:
 class KVCache:
     """Keys and values of one sequence in one attention layer, for decoding.
 
-    The (1, heads, capacity, head_dim) buffers are allocated at the first
-    write, in the dtype of the projected keys; the first ``length`` positions
-    are filled. Forward only: no gradient flows through the cache.
+    The (1, capacity, hidden) buffers are allocated at the first write, in the
+    dtype of the projected keys; the first ``length`` positions are filled.
+    Forward only: no gradient flows through the cache.
     """
 
     def __init__(self, capacity: int):
@@ -107,14 +107,14 @@ class KVCache:
         self.v: np.ndarray | None = None
 
     def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append (1, heads, t, head_dim) keys and values; return the filled prefix."""
+        """Append (1, t, hidden) keys and values; return the filled prefix."""
         if self.k is None:
-            shape = (1, k.shape[1], self.capacity, k.shape[3])
+            shape = (1, self.capacity, k.shape[2])
             self.k, self.v = np.empty(shape, k.dtype), np.empty(shape, v.dtype)
-        start, self.length = self.length, self.length + k.shape[2]
-        self.k[:, :, start : self.length] = k
-        self.v[:, :, start : self.length] = v
-        return self.k[:, :, : self.length], self.v[:, :, : self.length]
+        start, self.length = self.length, self.length + k.shape[1]
+        self.k[:, start : self.length] = k
+        self.v[:, start : self.length] = v
+        return self.k[:, : self.length], self.v[:, : self.length]
 
 
 class CausalAttention:
@@ -139,21 +139,16 @@ class CausalAttention:
         and they attend over everything cached so far, causally among
         themselves.
         """
-        b, t, h = x.shape
-
-        def split(m: Tensor) -> Tensor:
-            return nx.swapaxes(nx.reshape(m, (b, t, self.heads, self.head_dim)), 1, 2)
-
-        q = split(nx.matmul(x, self.wq))
-        k = split(nx.matmul(x, self.wk))
-        v = split(nx.matmul(x, self.wv))
+        t = x.shape[1]
+        q = nx.matmul(x, self.wq)
+        k = nx.matmul(x, self.wk)
+        v = nx.matmul(x, self.wv)
         if cache is not None:
             k_all, v_all = cache.extend(k.data, v.data)
             k, v = Tensor(k_all), Tensor(v_all)
             if t > 1:
                 mask = _causal_mask(t, cache.length, self.wq.dtype)
-        att = nx.attention(q, k, v, 1.0 / np.sqrt(self.head_dim), mask)
-        out = nx.reshape(nx.swapaxes(att, 1, 2), (b, t, h))
+        out = nx.attention(q, k, v, self.heads, 1.0 / np.sqrt(self.head_dim), mask)
         return nx.matmul(out, self.wo)
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -181,23 +176,20 @@ class MoELayer:
         self.experts = [make_expert(config, rng) for _ in range(config.experts)]
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor, RoutingWeights, SelectedExperts]:
-        b, t, h = x.shape
         logits = nx.matmul(x, self.router)
         weights, selected = route(logits, self.config.temperature, self.config.active)
 
-        n, k = b * t, selected.k
-        x2 = nx.reshape(x, (n, h))
         flat = selected.indices.reshape(-1)
         order = np.argsort(flat, kind="stable")
-        rows = order // k
+        rows = order // selected.k
         counts = np.bincount(flat, minlength=len(self.experts)).tolist()
         outs, lo = [], 0
         for expert, count in zip(self.experts, counts):
             if count:
-                outs.append(expert.forward(nx.take_rows(x2, rows[lo : lo + count])))
+                outs.append(expert.forward(nx.take_rows(x, rows[lo : lo + count])))
                 lo += count
         y = nx.combine_rows(outs, selected.gate_weights, order)
-        return nx.reshape(y, (b, t, h)), logits, weights, selected
+        return y, logits, weights, selected
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         params = {f"{prefix}router": self.router}

@@ -2,14 +2,16 @@
 
 Covers exactly the operations the toy language model and its routing losses
 run, one op per job: matmul, broadcasted add/mul, sum/mean, softmax along the
-last axis with a temperature, masked scaled dot-product attention, SwiGLU,
-layer normalization, row gather (token and position lookups too), the gated
-combine of expert outputs, the renormalized top-k gates, reshape/swapaxes,
-total variation along the token axis, and a fused cross-entropy. Gradients
-accumulate additively into ``Tensor.grad``; callers zero them between steps.
-Inside ``with no_grad():`` every operation returns a plain tensor with no
-parents and no backward closure, so forward-only callers (evaluation, decoding)
-build no graph; the forward values are the same bits either way.
+last axis with a temperature, masked scaled dot-product attention over
+(B, T, D) inputs that splits and merges its own heads, SwiGLU, layer
+normalization, row gather over the flattened leading axes (token and position
+lookups too), the gated combine of expert outputs back into the gates' token
+shape, the renormalized top-k gates, total variation along the token axis, and
+a fused cross-entropy. No op only changes a layout. Gradients accumulate
+additively into ``Tensor.grad``; callers zero them between steps. Inside
+``with no_grad():`` every operation returns a plain tensor with no parents and
+no backward closure, so forward-only callers (evaluation, decoding) build no
+graph; the forward values are the same bits either way.
 
 One rule holds the backward pass together: every gradient contribution is
 summed out of place, and no gradient array is written after it is handed out.
@@ -23,7 +25,7 @@ last backward that reads it and nothing is held once ``backward`` returns, even
 while the caller holds the loss; a second ``backward`` through it raises
 ``RuntimeError``. A closure saves only what it cannot re-derive from its
 parents' data in one cheap pass, with the expression the forward used: the
-backward of ``attention`` recomputes its (..., T, T) weights, and that of
+backward of ``attention`` recomputes its (B, heads, t, s) weights, and that of
 ``swiglu`` its sigmoid. A step runs in place only where the out-of-place form
 has the same association and result dtype (``_into``), which keeps the bits.
 
@@ -256,22 +258,33 @@ def softmax_lastdim(x: Tensor, temperature: float = 1.0) -> Tensor:
     return _result(y, (x,), lambda g: (_softmax_grad(g, y, temperature),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask: np.ndarray | None) -> Tensor:
-    """softmax(scale * q @ k^T + mask) @ v over stacked (..., T, head_dim) heads;
-    ``mask`` is an additive constant (-1e30 above a causal diagonal) or None."""
-    qd, kd, vd = q.data, k.data, v.data
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale,
+              mask: np.ndarray | None) -> Tensor:
+    """softmax(scale * q @ k^T + mask) @ v of (B, t, D) queries over (B, s, D)
+    keys and values, each split into ``heads`` heads and merged back; ``mask``
+    (t, s) is an additive constant (-1e30 above a causal diagonal) or None."""
+    b, _, d = q.shape
+
+    def split(a: np.ndarray) -> np.ndarray:
+        return np.swapaxes(a.reshape(b, -1, heads, d // heads), 1, 2)
+
+    def merge(a: np.ndarray) -> np.ndarray:
+        return np.swapaxes(a, 1, 2).reshape(b, -1, d)
+
+    qd, kd, vd = split(q.data), split(k.data), split(v.data)
 
     def weights():
         z = _into(qd @ np.swapaxes(kd, -1, -2), np.multiply, scale)
         return _softmax(z if mask is None else _into(z, np.add, mask))
 
     def backward(g):
+        g = split(g)
         y = weights()
         gz = _softmax_grad(g @ np.swapaxes(vd, -1, -2), y, scale)
         gk = np.swapaxes(np.swapaxes(qd, -1, -2) @ gz, -1, -2)
-        return gz @ kd, gk, np.swapaxes(y, -1, -2) @ g
+        return merge(gz @ kd), merge(gk), merge(np.swapaxes(y, -1, -2) @ g)
 
-    return _result(weights() @ vd, (q, k, v), backward)
+    return _result(merge(weights() @ vd), (q, k, v), backward)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -320,27 +333,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a 2-d tensor: out[i...] = x[idx[i...]] for ids of any shape.
+    """Gather rows of x's flattened leading axes: out[i...] = x.reshape(-1, D)[idx[i...]].
 
     Ids are not range-checked (a negative one wraps around); callers check ids
     that come from outside.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    data = x.data[idx]
+    d = x.shape[-1]
+    data = x.data.reshape(-1, d)[idx]
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        _kernels.index_add_rows(gx, idx.reshape(-1), g.reshape(-1, x.shape[-1]))
+        _kernels.index_add_rows(gx.reshape(-1, d), idx.reshape(-1), g.reshape(-1, d))
         return (gx,)
 
     return _result(data, (x,), backward)
 
 
 def combine_rows(parts: Sequence[Tensor], gates: Tensor, order: np.ndarray) -> Tensor:
-    """Gated mix of expert outputs into their n tokens: a fresh (n, D) with
+    """Gated mix of expert outputs into their tokens: a fresh (..., D) shaped
+    like ``gates`` (..., K) but for its last axis, whose n token rows get
     out[order[m] // K] += rows[m] * gates.flat[order[m]], where ``rows`` stacks
-    the 2-d ``parts``, ``gates`` is (..., K) and ``order`` is a permutation of
-    its n·K flat slots. Each token sums its K rows in ascending m."""
+    the 2-d ``parts`` and ``order`` is a permutation of the n·K flat gate
+    slots. Each token sums its K rows in ascending m."""
     k = gates.shape[-1]
     order = np.asarray(order, dtype=np.int64)
     flat = gates.data.reshape(-1, 1)
@@ -354,13 +369,13 @@ def combine_rows(parts: Sequence[Tensor], gates: Tensor, order: np.ndarray) -> T
     bounds = np.cumsum([p.shape[0] for p in parts[:-1]])
 
     def backward(g):
-        g_mixed = g[order // k]
+        g_mixed = g.reshape(-1, g.shape[-1])[order // k]
         g_flat = np.empty_like(flat)
         stacked = np.concatenate([p.data for p in parts])
         g_flat[order] = (g_mixed * stacked).sum(axis=1, keepdims=True)
         return (*np.split(g_mixed * picked, bounds), g_flat.reshape(gates.shape))
 
-    return _result(data, (*parts, gates), backward)
+    return _result(data.reshape(*gates.shape[:-1], -1), (*parts, gates), backward)
 
 
 def take_normalized(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -380,17 +395,6 @@ def take_normalized(x: Tensor, idx: np.ndarray) -> Tensor:
         return (gx,)
 
     return _result(taken / total, (x,), backward)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
-
-
-def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    return _result(
-        np.swapaxes(x.data, a, b), (x,), lambda g: (np.swapaxes(g, a, b),)
-    )
 
 
 def total_variation(x: Tensor) -> Tensor:

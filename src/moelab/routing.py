@@ -1,10 +1,10 @@
 """Token-choice routing: temperature softmax over router logits, top-k selection.
 
 ``route`` takes the router logits as a plain (B, T, E) Tensor and checks their
-shape and finiteness itself. The router produces a full probability row per token; the k heaviest experts
-are selected with deterministic lowest-index tie-breaking and their weights are
-renormalized to sum to one. Gradients reach the logits only through the
-selected (renormalized) weights; the discrete selection itself carries none.
+shape and finiteness itself. The router gives each token a full probability
+row; its k heaviest experts are selected, ties going to the lowest index, and
+their weights renormalized to sum to one. Gradients reach the logits only
+through the selected (renormalized) weights; the selection itself carries none.
 """
 
 from __future__ import annotations

@@ -61,6 +61,26 @@ def test_train_invalid_parameters_exit_1(corpus_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "generate", "simulate-offload", "ablate"])
+def test_output_path_that_is_a_file_exits_1(run_dir, corpus_file, tmp_path, capsys, command):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    trace = tmp_path / "fixture.trace"
+    write_trace(synthetic_trace(20.0, 8, 1, 4, 2, seed=0), trace)
+    train = ["--corpus", str(corpus_file), "--steps", "1", "--experts", "4", "--active", "2"]
+    args = {
+        "train": [*train, "--out", str(blocker)],
+        "eval": ["--checkpoint", str(run_dir / "checkpoint.npz"), "--corpus", str(corpus_file),
+                 "--out", str(blocker)],
+        "generate": ["--checkpoint", str(run_dir / "checkpoint.npz"), "--prompt", "Toza",
+                     "--tokens", "2", "--trace", str(blocker / "gen.trace")],
+        "simulate-offload": ["--trace", str(trace), "--out", str(blocker)],
+        "ablate": [*train, "--axis", "active", "--values", "1,2", "--out", str(blocker)],
+    }[command]
+    assert main([command, *args]) == 1
+    assert f"cannot write {blocker}" in capsys.readouterr().err
+
+
 def test_eval_checkpoint(run_dir, corpus_file, capsys):
     code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
                  "--corpus", str(corpus_file)])

@@ -88,21 +88,22 @@ def test_moe_layer_combines_once_per_layer(monkeypatch):
     model = TransformerLM(tiny_config(layers=3), seed=12)
     nodes = _record_nodes(monkeypatch)
     model.forward(np.random.default_rng(12).integers(0, 17, size=(2, 5)))
-    assert [shape for op, shape in nodes if op == "combine_rows"] == [(10, 16)] * 3
+    assert [shape for op, shape in nodes if op == "combine_rows"] == [(2, 5, 16)] * 3
 
 
 def test_attention_builds_no_score_sized_node(monkeypatch):
-    """The (B, heads, T, T) scores and weights live inside one attention node."""
+    """The (B, heads, T, T) scores and weights, and the head split and merge,
+    live inside one attention node."""
     model = TransformerLM(tiny_config(layers=1), seed=13)
     nodes = _record_nodes(monkeypatch)
     model.forward(np.random.default_rng(13).integers(0, 17, size=(2, 5)))
-    assert [shape for op, shape in nodes if op == "attention"] == [(2, 2, 5, 8)]
+    assert [shape for op, shape in nodes if op == "attention"] == [(2, 5, 16)]
     assert (2, 2, 5, 5) not in [shape for _, shape in nodes]
 
 
-@pytest.mark.parametrize("expert_kind, want", [("dense", 116), ("wd", 140)])
+@pytest.mark.parametrize("expert_kind, want", [("dense", 96), ("wd", 120)])
 def test_train_step_node_count(monkeypatch, expert_kind, want):
-    """Nodes of one train step: 10 + layers * (33 + hit experts * (1 + f)):
+    """Nodes of one train step: 10 + layers * (23 + hit experts * (1 + f)):
     each hit expert's row gather, then f = 4 nodes in a dense expert (three
     matmuls and swiglu) or 7 in a WD one (six matmuls and swiglu)."""
     cfg = tiny_config(expert_kind=expert_kind, rank=4, dtype="float32")
