@@ -85,13 +85,13 @@ def cmd_eval(args) -> int:
         seq_len=min(128, model.config.seq_len),
         seed=args.seed if args.seed is not None else 0,
     )
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     metrics = evaluate(model, corpus, train_cfg)
     for key, value in metrics.items():
         print(f"{key:22s} {value:.6g}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "eval.json").write_text(json.dumps(metrics, indent=2))
+        (Path(args.out) / "eval.json").write_text(json.dumps(metrics, indent=2))
     return 0
 
 

@@ -1,9 +1,10 @@
 """Feed-forward expert networks: standard dense and weight-decomposed variants.
 
-Both use the SwiGLU form down(SiLU(gate(x)) * up(x)). The weight-decomposed
-(WD) expert replaces each n x m projection with factors L (n x r) and R (r x m)
-and never materializes the n x m product, so its parameter and FLOP cost is
-r * (n + m) per projection instead of n * m.
+Both use the SwiGLU form down(SiLU(gate(x)) * up(x)), one ``swiglu_ffn``
+autodiff node per call. The weight-decomposed (WD) expert replaces each n x m
+projection with factors L (n x r) and R (r x m) and never materializes the
+n x m product, so its parameter and FLOP cost is r * (n + m) per projection
+instead of n * m.
 """
 
 from __future__ import annotations
@@ -32,17 +33,12 @@ class DenseExpert:
         rng: np.random.Generator,
         dtype: str = "float64",
     ):
-        self.hidden = hidden
-        self.inter = inter
         self.w_gate = _normal(rng, (hidden, inter), dtype)
         self.w_up = _normal(rng, (hidden, inter), dtype)
         self.w_down = _normal(rng, (inter, hidden), dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.hidden:
-            raise ValueError(f"expected last dim {self.hidden}, got {x.shape}")
-        h = nx.swiglu(nx.matmul(x, self.w_gate), nx.matmul(x, self.w_up))
-        return nx.matmul(h, self.w_down)
+        return nx.swiglu_ffn(x, (self.w_gate,), (self.w_up,), (self.w_down,))
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {
@@ -71,9 +67,6 @@ class WDExpert:
     ):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        self.hidden = hidden
-        self.inter = inter
-        self.rank = rank
         fstd = INIT_STD / np.sqrt(rank)
         self.l_gate = _normal(rng, (hidden, rank), dtype, fstd)
         self.r_gate = _normal(rng, (rank, inter), dtype, fstd)
@@ -93,12 +86,8 @@ class WDExpert:
         return expert
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.hidden:
-            raise ValueError(f"expected last dim {self.hidden}, got {x.shape}")
-        gate = nx.matmul(nx.matmul(x, self.l_gate), self.r_gate)
-        up = nx.matmul(nx.matmul(x, self.l_up), self.r_up)
-        h = nx.swiglu(gate, up)
-        return nx.matmul(nx.matmul(h, self.l_down), self.r_down)
+        return nx.swiglu_ffn(x, (self.l_gate, self.r_gate), (self.l_up, self.r_up),
+                             (self.l_down, self.r_down))
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         return {

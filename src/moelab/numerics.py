@@ -3,11 +3,12 @@
 Covers exactly the operations the toy language model and its routing losses
 run, one op per job: matmul, broadcasted add/mul, sum/mean, softmax along the
 last axis with a temperature, masked scaled dot-product attention over
-(B, T, D) inputs that splits and merges its own heads, SwiGLU, layer
-normalization, row gather over the flattened leading axes (token and position
-lookups too), the gated combine of expert outputs back into the gates' token
-shape, the renormalized top-k gates, total variation along the token axis, and
-a fused cross-entropy. No op only changes a layout. Gradients accumulate
+(B, T, D) inputs that splits and merges its own heads, an expert's whole SwiGLU
+feed-forward over dense or factored projections, layer normalization, row
+gather over the flattened leading axes (token and position lookups too), the
+gated combine of expert outputs back into the gates' token shape, the
+renormalized top-k gates, total variation along the token axis, and a fused
+cross-entropy. No op only changes a layout. Gradients accumulate
 additively into ``Tensor.grad``; callers zero them between steps. Inside
 ``with no_grad():`` every operation returns a plain tensor with no parents and
 no backward closure, so forward-only callers (evaluation, decoding) build no
@@ -26,8 +27,9 @@ while the caller holds the loss; a second ``backward`` through it raises
 ``RuntimeError``. A closure saves only what it cannot re-derive from its
 parents' data in one cheap pass, with the expression the forward used: the
 backward of ``attention`` recomputes its (B, heads, t, s) weights, and that of
-``swiglu`` its sigmoid. A step runs in place only where the out-of-place form
-has the same association and result dtype (``_into``), which keeps the bits.
+``swiglu_ffn`` its sigmoid. A step runs in place only where the out-of-place
+form has the same association and result dtype (``_into``), which keeps the
+bits.
 
 Double precision is the default and is required for the finite-difference
 checks; single precision is accepted for the training path.
@@ -195,15 +197,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: operands must be matrices: {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions differ: {a.shape} x {b.shape}")
-    data = a.data @ b.data
     ad, bd = a.data, b.data
+    return _result(ad @ bd, (a, b), lambda g: _matmul_grads(g, ad, bd, a.shape, b.shape))
 
-    def backward(g):
-        ga = g @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _result(data, (a, b), backward)
+def _matmul_grads(g, ad, bd, a_shape, b_shape):
+    """Gradients to a and b of a @ b, each summed back to its operand's shape."""
+    ga = g @ np.swapaxes(bd, -1, -2)
+    gb = np.swapaxes(ad, -1, -2) @ g
+    return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -295,18 +297,47 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def swiglu(gate: Tensor, up: Tensor) -> Tensor:
-    """gate * sigmoid(gate) * up, the gated unit of a SwiGLU feed-forward."""
-    gd, ud = gate.data, up.data
+def swiglu_ffn(x: Tensor, gate: Sequence[Tensor], up: Sequence[Tensor],
+               down: Sequence[Tensor]) -> Tensor:
+    """down(silu(gate(x)) * up(x)), a SwiGLU feed-forward over the rows of x.
+
+    Each projection is a tuple of factors applied left to right: (w,) for a
+    dense matrix, (L, R) for a weight-decomposed one, never multiplied out.
+    """
+    if x.ndim < 2 or x.shape[-1] != gate[0].shape[0]:
+        raise ValueError(f"swiglu_ffn: expected (..., {gate[0].shape[0]}) rows, got {x.shape}")
+
+    def project(a: np.ndarray, factors) -> list[np.ndarray]:  # a, a @ f0, (a @ f0) @ f1, ...
+        outs = [a]
+        for w in factors:
+            outs.append(outs[-1] @ w.data)
+        return outs
+
+    def project_grads(g, ins: list[np.ndarray], factors):  # to the input, then to each factor
+        gw = []
+        for a, w in zip(reversed(ins), reversed(factors)):
+            g, gf = _matmul_grads(g, a, w.data, a.shape, w.shape)
+            gw.insert(0, gf)
+        return g, gw
+
+    *gate_ins, gd = project(x.data, gate)
+    *up_ins, ud = project(x.data, up)
+    # h is kept, not recomputed: an h-sized temporary per expert in backward
+    # about doubled the minor page faults of a desk step and slowed it
+    h = _into(_into(_sigmoid(gd), np.multiply, gd), np.multiply, ud)
+    *down_ins, out = project(h, down)
 
     def backward(g):
+        g, g_down = project_grads(g, down_ins, down)
         s = _sigmoid(gd)
         t = _into(_into(1.0 - s, np.multiply, gd), np.add, 1.0)  # 1 + gd * (1 - s)
         g_gate = _into(_into(g * ud, np.multiply, s), np.multiply, t)
-        return g_gate, _into(_into(s, np.multiply, gd), np.multiply, g)
+        g_up = _into(_into(s, np.multiply, gd), np.multiply, g)
+        gx_gate, g_gate = project_grads(g_gate, gate_ins, gate)
+        gx_up, g_up = project_grads(g_up, up_ins, up)
+        return gx_gate + gx_up, *g_gate, *g_up, *g_down
 
-    h = _into(_sigmoid(gd), np.multiply, gd)
-    return _result(_into(h, np.multiply, ud), (gate, up), backward)
+    return _result(out, (x, *gate, *up, *down), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

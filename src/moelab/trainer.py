@@ -481,26 +481,28 @@ def run_experiment(
     comparison row each.
 
     Variant overrides go through ``configure``. An unknown key raises
-    ValueError before any variant trains; any other failure is reported in
-    its variant's row and does not stop the others.
+    ValueError, and an ``out_dir`` that cannot be made OSError, before any
+    variant trains; any other failure is reported in its variant's row and
+    does not stop the others.
     """
     for _, overrides in variants:
         _split_overrides(overrides)
     corpus = ingest_corpus(train_cfg.corpus, train_cfg.val_frac, train_cfg.seed)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     for name, overrides in variants:
         row = {"variant": name, "status": "ok"}
         try:
             mc, tc = configure(overrides, model_cfg, train_cfg)
-            variant_dir = None if out_dir is None else Path(out_dir) / name
+            variant_dir = None if out_dir is None else out_dir / name
             _, final, _ = train(mc, tc, corpus=corpus, out_dir=variant_dir, quiet=True)
             row.update({k: final[k] for k in EXPERIMENT_FIELDS if k in final})
         except Exception as exc:  # isolate variant failures
             row["status"] = f"failed: {exc}"
         rows.append(row)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_comparison(rows, out_dir / "comparison.csv")
         (out_dir / "comparison.txt").write_text(format_comparison(rows) + "\n")
     return rows

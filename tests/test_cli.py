@@ -62,7 +62,16 @@ def test_train_invalid_parameters_exit_1(corpus_file, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "generate", "simulate-offload", "ablate"])
-def test_output_path_that_is_a_file_exits_1(run_dir, corpus_file, tmp_path, capsys, command):
+def test_output_path_that_is_a_file_exits_1(run_dir, corpus_file, tmp_path, capsys, monkeypatch,
+                                            command):
+    """The path is refused before any work: eval must not evaluate nor ablate
+    train (``pytest.fail`` is not an ``Exception``, so ablate's per-variant
+    guard cannot swallow it)."""
+    def work(*args, **kwargs):
+        pytest.fail("ran before the output path was made")
+
+    monkeypatch.setattr("moelab.cli.evaluate", work)
+    monkeypatch.setattr("moelab.trainer.train", work)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
     trace = tmp_path / "fixture.trace"

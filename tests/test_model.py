@@ -101,11 +101,10 @@ def test_attention_builds_no_score_sized_node(monkeypatch):
     assert (2, 2, 5, 5) not in [shape for _, shape in nodes]
 
 
-@pytest.mark.parametrize("expert_kind, want", [("dense", 96), ("wd", 120)])
+@pytest.mark.parametrize("expert_kind, want", [("dense", 72), ("wd", 72)])
 def test_train_step_node_count(monkeypatch, expert_kind, want):
-    """Nodes of one train step: 10 + layers * (23 + hit experts * (1 + f)):
-    each hit expert's row gather, then f = 4 nodes in a dense expert (three
-    matmuls and swiglu) or 7 in a WD one (six matmuls and swiglu)."""
+    """Nodes of one train step: 10 + layers * (23 + 2 * hit experts): each hit
+    expert's row gather and its one swiglu_ffn node, dense or WD alike."""
     cfg = tiny_config(expert_kind=expert_kind, rank=4, dtype="float32")
     model = TransformerLM(cfg, seed=14)
     tc = TrainConfig(steps=2, batch_size=2, seq_len=cfg.seq_len, eval_batches=1)
@@ -113,7 +112,7 @@ def test_train_step_node_count(monkeypatch, expert_kind, want):
     nodes = _record_nodes(monkeypatch)
     train_step(model, batch, Optimizer(model, tc), 0)
     assert len(nodes) == want
-    hit = sum(op == "swiglu" for op, _ in nodes)  # one per expert run
+    hit = sum(op == "swiglu_ffn" for op, _ in nodes)  # one per expert run
     assert hit == cfg.layers * cfg.experts
 
 
@@ -158,19 +157,31 @@ def test_forward_keeps_no_attention_weights_or_sigmoid(monkeypatch, expert_kind)
     assert len(weights) == cfg.layers and all(w() is None for w in weights)
 
     # a sigmoid is the output of no single call a test can wrap, so the
-    # closures of the live graph are searched for one
-    nodes, stack, sigmoids, held = set(), [total], [], []
+    # closures of the live graph, and the lists they hold, are searched for
+    # one; the gate projection the op keeps shows that the search sees them
+    nodes, stack, gates, held = set(), [total], [], []
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
             nodes.add(id(node))
             stack.extend(node._parents)
             cells = node._backward.__closure__ if node._backward else None
-            held += [c.cell_contents for c in cells or () if isinstance(c.cell_contents, np.ndarray)]
-            if node._backward and node._backward.__qualname__.startswith("swiglu"):
-                sigmoids.append(1.0 / (1.0 + np.exp(-node._parents[0].data)))
-    assert len(sigmoids) == cfg.layers * cfg.experts
-    assert not any(a.shape == s.shape and np.array_equal(a, s) for a in held for s in sigmoids)
+            for value in (c.cell_contents for c in cells or ()):
+                held += [a for a in (value if isinstance(value, list) else [value])
+                         if isinstance(a, np.ndarray)]
+            if node._backward and node._backward.__qualname__.startswith("swiglu_ffn"):
+                x, *factors = node._parents
+                gate = x.data
+                for w in factors[: len(factors) // 3]:
+                    gate = gate @ w.data
+                gates.append(gate)
+    assert len(gates) == cfg.layers * cfg.experts
+
+    def kept(b):
+        return any(a.shape == b.shape and np.array_equal(a, b) for a in held)
+
+    assert all(kept(gate) for gate in gates)
+    assert not any(kept(1.0 / (1.0 + np.exp(-gate))) for gate in gates)
 
 
 def test_moe_layer_dense_limit_uniform_gates_is_mean_of_experts():

@@ -249,11 +249,28 @@ def _case_attention(rng):
             [q, k, v])
 
 
-def _case_swiglu(rng):
-    shape = _dims(rng, 2)
-    gate, up = rng.normal(scale=2.0, size=shape), rng.normal(size=shape)
-    c = rng.normal(size=shape)
-    return lambda gate, up: _weighted_sum(nx.swiglu(gate, up), c), [gate, up]
+def _case_swiglu_ffn(rng):
+    """Projections of one factor (dense) and of two through a rank r (WD):
+    gate, up and down of 1, 2 and 1 factors over a 2-d x, and of 2, 1 and 2
+    over a 3-d x, whose factor gradients sum over its leading axes."""
+    d, inter, r = _dims(rng, 3)
+
+    def dense(n, m):
+        return [rng.normal(size=(n, m))]
+
+    def wd(n, m):
+        return [rng.normal(size=(n, r)), rng.normal(size=(r, m))]
+
+    x2, x3 = rng.normal(size=(*_dims(rng, 1), d)), rng.normal(size=(*_dims(rng, 2), d))
+    w2 = [*dense(d, inter), *wd(d, inter), *dense(inter, d)]
+    w3 = [*wd(d, inter), *dense(d, inter), *wd(inter, d)]
+    c2, c3 = rng.normal(size=x2.shape), rng.normal(size=x3.shape)
+
+    def f(x2, x3, *w):
+        return nx.add(_weighted_sum(nx.swiglu_ffn(x2, w[:1], w[1:3], w[3:4]), c2),
+                      _weighted_sum(nx.swiglu_ffn(x3, w[4:6], w[6:7], w[7:]), c3))
+
+    return f, [x2, x3, *w2, *w3]
 
 
 def _case_layer_norm(rng):
@@ -397,13 +414,13 @@ def _case_consecutive_diff(rng):
 def _case_fan_out(rng):
     """Interior nodes that feed both an add and a later op, so each sums two
     contributions, one of them the array add hands to both operands; each
-    leaf feeds two ops."""
-    shape = _dims(rng, 2)
-    a, b = rng.normal(size=shape), rng.normal(size=shape)
-    c = rng.normal(size=shape)
+    leaf feeds two ops, as rows and as factors of both."""
+    d = int(rng.integers(1, 7))
+    a, b = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    c = rng.normal(size=(d, d))
 
     def f(a, b):
-        p, q = nx.swiglu(a, b), nx.swiglu(b, a)
+        p, q = nx.swiglu_ffn(a, (b,), (a,), (b,)), nx.swiglu_ffn(b, (a,), (b,), (a,))
         return _weighted_sum(nx.add(nx.add(p, q), nx.mul(p, q)), c)
 
     return f, [a, b]
@@ -418,7 +435,7 @@ OP_CASES = [
     _case_mean,
     _case_softmax,
     _case_attention,
-    _case_swiglu,
+    _case_swiglu_ffn,
     _case_layer_norm,
     _case_take_rows,
     _case_combine_rows,
@@ -517,6 +534,36 @@ def _merged(a):
     return np.swapaxes(a, 1, 2).reshape(b, n, h * d)
 
 
+def _swiglu_ffn_chain(x, gate, up, down, g):
+    """Forward value and gradients (to x, then to every factor) of the chain
+    of 2-d matmul nodes, one per factor, with the gated unit between; x sums
+    the gradients of the gate and up projections."""
+
+    def project(a, ws):  # the input of each matmul, and the last output
+        ins = [a]
+        for w in ws:
+            ins.append(ins[-1] @ w)
+        return ins[:-1], ins[-1]
+
+    def project_back(g, ins, ws):
+        g_ws = []
+        for a, w in zip(reversed(ins), reversed(ws)):
+            g_ws.insert(0, a.T @ g)
+            g = g @ w.T
+        return g, g_ws
+
+    gate_ins, gd = project(x, gate)
+    up_ins, ud = project(x, up)
+    s = 1.0 / (1.0 + np.exp(-gd))
+    act = gd * s
+    down_ins, out = project(act * ud, down)
+    g_h, g_down = project_back(g, down_ins, down)
+    g_gate, g_up = g_h * ud * s * (1.0 + gd * (1.0 - s)), g_h * act
+    gx_gate, g_gate = project_back(g_gate, gate_ins, gate)
+    gx_up, g_up = project_back(g_up, up_ins, up)
+    return [out, gx_gate + gx_up, *g_gate, *g_up, *g_down]
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("masked", [True, False])
 def test_attention_is_the_bits_of_its_chain(dtype, masked):
@@ -569,15 +616,17 @@ def test_softmax_lastdim_is_the_bits_of_its_chain(dtype, temperature):
 @pytest.mark.parametrize("a, b", [("float32", "float64"), ("float64", "float32")])
 def test_in_place_steps_keep_the_bits_of_mixed_dtypes(a, b):
     """An in-place step would round into its buffer's dtype, however wide the
-    other operand; on operands of two dtypes swiglu, layer_norm and attention
-    give the bits and dtypes of their out-of-place chains."""
+    other operand; on operands of two dtypes swiglu_ffn, layer_norm and
+    attention give the bits and dtypes of their out-of-place chains. The
+    swiglu_ffn rows have dtype b and its factors a: with a float32, that is
+    a float32 desk model's experts under the float64 their rows arrive in."""
     rng = np.random.default_rng(40)
-    gate, up = rng.normal(scale=2.0, size=(7, 5)).astype(a), rng.normal(size=(7, 5)).astype(b)
-    s = 1.0 / (1.0 + np.exp(-gate))
-    g = rng.normal(size=gate.shape).astype(b)
-    args = [nx.parameter(gate), nx.parameter(up)]
-    _assert_same_bits(_fused(nx.swiglu(*args), args, g),
-                      [gate * s * up, g * up * s * (1.0 + gate * (1.0 - s)), g * (gate * s)])
+    x = rng.normal(size=(7, 4)).astype(b)
+    w = [rng.normal(scale=0.5, size=s).astype(a) for s in ((4, 5), (4, 5), (5, 4))]
+    g = rng.normal(size=x.shape).astype(b)
+    args = [nx.parameter(t) for t in (x, *w)]
+    _assert_same_bits(_fused(nx.swiglu_ffn(args[0], args[1:2], args[2:3], args[3:]), args, g),
+                      _swiglu_ffn_chain(x, w[:1], w[1:2], w[2:], g))
 
     x = rng.normal(loc=0.5, size=(2, 5, 6)).astype(a)
     gain, bias = (rng.normal(size=6).astype(b) for _ in range(2))
@@ -604,17 +653,23 @@ def test_in_place_steps_keep_the_bits_of_mixed_dtypes(a, b):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_swiglu_is_the_bits_of_its_chain(dtype):
-    """SiLU of the gate, then a product with up."""
+@pytest.mark.parametrize("factors", [1, 2], ids=["dense", "wd"])
+def test_swiglu_ffn_is_the_bits_of_its_chain(dtype, factors):
+    """The matmuls of the gate and up projections, SiLU of the gate times up,
+    then the matmuls of down: a dense expert's (w,) projections, or a WD
+    expert's (L, R) pairs through rank 3."""
     rng = np.random.default_rng(32)
-    gate, up = (rng.normal(scale=2.0, size=(7, 5)).astype(dtype) for _ in range(2))
-    s = 1.0 / (1.0 + np.exp(-gate))
-    act = gate * s
-    g = rng.normal(size=gate.shape).astype(dtype)
-    g_act = g * up
-    g_gate = g_act * s * (1.0 + gate * (1.0 - s))
-    args = [nx.parameter(gate), nx.parameter(up)]
-    _assert_same_bits(_fused(nx.swiglu(*args), args, g), [act * up, g_gate, g * act])
+    hidden, inter = 6, 10
+    dims = [(hidden, inter), (hidden, inter), (inter, hidden)]
+    if factors == 2:
+        dims = [shape for n, m in dims for shape in ((n, 3), (3, m))]
+    w = [rng.normal(scale=0.5, size=shape).astype(dtype) for shape in dims]
+    x = rng.normal(size=(7, hidden)).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    args = [nx.parameter(t) for t in (x, *w)]
+    projections = [args[1 + i : 1 + i + factors] for i in range(0, 3 * factors, factors)]
+    chain = _swiglu_ffn_chain(x, *[w[i : i + factors] for i in range(0, 3 * factors, factors)], g)
+    _assert_same_bits(_fused(nx.swiglu_ffn(args[0], *projections), args, g), chain)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
