@@ -97,7 +97,15 @@ def cmd_eval(args) -> int:
 
 def cmd_generate(args) -> int:
     model = TransformerLM.load(args.checkpoint)
-    tokens, trace = model.generate(encode_text(args.prompt), args.tokens)
+    new_file = bool(args.trace) and not Path(args.trace).exists()
+    if args.trace:
+        open(args.trace, "a").close()  # refuse an unwritable path before decoding
+    try:
+        tokens, trace = model.generate(encode_text(args.prompt), args.tokens)
+    except BaseException:
+        if new_file:  # leave no empty trace behind
+            Path(args.trace).unlink()
+        raise
     print(decode_ids(tokens))
     if args.trace:
         write_trace(trace, args.trace)
@@ -116,10 +124,11 @@ def _cost_from_args(args) -> OffloadCostModel:
 
 def cmd_simulate_offload(args) -> int:
     trace = read_trace(args.trace)
-    report = replay_offload(trace, _cost_from_args(args))
-    print(report.as_text())
+    cost = _cost_from_args(args)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    report = replay_offload(trace, cost)
+    print(report.as_text())
     csv_path = out_dir / "offload_report.csv"
     new_file = not csv_path.exists()
     with open(csv_path, "a", encoding="utf-8") as fh:

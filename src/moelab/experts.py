@@ -19,7 +19,12 @@ from .numerics import Tensor
 INIT_STD = 0.02
 
 
-def _normal(rng: np.random.Generator, shape, dtype: str, std: float = INIT_STD) -> Tensor:
+def _normal(rng: np.random.Generator | None, shape, dtype: str,
+            std: float = INIT_STD) -> Tensor:
+    """A parameter drawn from N(0, std^2), or with no ``rng`` allocated and
+    left for ``TransformerLM.load`` to fill."""
+    if rng is None:
+        return nx.parameter(np.empty(shape, dtype))
     return nx.parameter(rng.normal(0.0, std, size=shape).astype(dtype))
 
 

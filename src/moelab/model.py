@@ -230,9 +230,11 @@ LayerArtifacts = tuple[Tensor, RoutingWeights, SelectedExperts]  # router logits
 class TransformerLM:
     """Character-level causal LM with one MoE FFN per transformer layer."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
+        """Parameters drawn from ``seed``; ``seed=None`` leaves the parameters
+        for ``load`` to fill, its only caller."""
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.wte = _normal(rng, (config.vocab, config.hidden), config.dtype)
         self.wpe = _normal(rng, (config.seq_len, config.hidden), config.dtype)
         self.blocks = [Block(config, rng) for _ in range(config.layers)]
@@ -339,12 +341,16 @@ class TransformerLM:
 
     @classmethod
     def load(cls, path) -> "TransformerLM":
+        """The model ``save`` wrote to ``path``. Its parameters are the
+        checkpoint's arrays as read, cast only where their dtype differs from
+        the config's; no random init is drawn. A missing or misshapen
+        parameter, or a file that is not a checkpoint, raises DataError."""
         try:
             with np.load(path, allow_pickle=False) as ckpt:
                 if "__magic__" not in ckpt or str(ckpt["__magic__"]) != CHECKPOINT_MAGIC:
                     raise DataError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
                 config = _config_from_json(path, str(ckpt["__config__"]))
-                model = cls(config, seed=0)
+                model = cls(config, seed=None)
                 params = model.named_parameters()
                 for name, tensor in params.items():
                     key = f"param:{name}"
@@ -356,7 +362,7 @@ class TransformerLM:
                             f"{path}: parameter {name} has shape {arr.shape}, "
                             f"expected {tensor.data.shape}"
                         )
-                    tensor.data = arr.astype(config.dtype)
+                    tensor.data = arr.astype(config.dtype, copy=False)
         # TypeError: a plain .npy payload loads as an array, not an archive
         except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: cannot read checkpoint ({exc})") from exc

@@ -154,7 +154,9 @@ def decode_ids(ids: np.ndarray) -> str:
 
 @dataclass
 class Corpus:
-    """Byte-level token streams; vocab is fixed at 256."""
+    """Byte-level token streams; vocab is fixed at 256. ``ingest_corpus``
+    holds them as the file's bytes (``uint8``), and ``sample_batch`` widens
+    only the windows it draws to int64."""
 
     train_ids: np.ndarray
     val_ids: np.ndarray
@@ -169,9 +171,11 @@ class Corpus:
 def ingest_corpus(path, val_frac: float = 0.1, seed: int = 0) -> Corpus:
     """Read a UTF-8 text file into byte ids and split train/validation.
 
-    The stream is cut into fixed-size blocks which are shuffled with the seed
-    before splitting, so both splits sample the whole file while remaining
-    fully deterministic.
+    The stream is cut into the ``np.array_split`` blocks of about
+    ``SPLIT_BLOCK`` bytes, which are shuffled with the seed before splitting,
+    so both splits sample the whole file while remaining fully deterministic.
+    The splits are writable ``uint8`` copies of the file's bytes, taken
+    through one per-byte mask.
     """
     try:
         data = Path(path).read_bytes()
@@ -179,17 +183,20 @@ def ingest_corpus(path, val_frac: float = 0.1, seed: int = 0) -> Corpus:
         raise DataError(f"{path}: cannot read corpus ({exc})") from exc
     if not data:
         raise DataError(f"{path}: corpus is empty")
-    ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    ids = np.frombuffer(data, dtype=np.uint8)
     n_blocks = max(1, len(ids) // SPLIT_BLOCK)
-    blocks = np.array_split(ids, n_blocks)
-    order = np.random.default_rng(seed).permutation(len(blocks))
-    n_val = max(1, int(round(val_frac * len(blocks))))
-    if n_val >= len(blocks):
+    order = np.random.default_rng(seed).permutation(n_blocks)
+    n_val = max(1, int(round(val_frac * n_blocks)))
+    if n_val >= n_blocks:
         raise DataError(f"{path}: corpus too small to split at val_frac={val_frac}")
-    val_idx = set(order[:n_val].tolist())
-    train_ids = np.concatenate([b for i, b in enumerate(blocks) if i not in val_idx])
-    val_ids = np.concatenate([b for i, b in enumerate(blocks) if i in val_idx])
-    return Corpus(train_ids=train_ids, val_ids=val_ids)
+    is_val = np.zeros(n_blocks, dtype=bool)
+    is_val[order[:n_val]] = True
+    # np.array_split's sizes: the first len % n_blocks blocks take one byte more
+    size, longer = divmod(len(ids), n_blocks)
+    sizes = np.full(n_blocks, size)
+    sizes[:longer] += 1
+    val_mask = np.repeat(is_val, sizes)
+    return Corpus(train_ids=ids[~val_mask], val_ids=ids[val_mask])
 
 
 _SYLLABLES = (
@@ -230,7 +237,8 @@ def synthesize_corpus(path, n_bytes: int, seed: int = 0) -> None:
 def sample_batch(
     ids: np.ndarray, batch_size: int, seq_len: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random contiguous windows: inputs (B, T) and next-token targets (B, T)."""
+    """Random contiguous windows: int64 inputs (B, T) and next-token targets
+    (B, T), whatever integer dtype ``ids`` has."""
     if len(ids) < seq_len + 1:
         raise DataError(
             f"token stream of {len(ids)} too short for seq_len={seq_len}"
@@ -238,8 +246,8 @@ def sample_batch(
     # the bound excludes the last start; it is kept so that longer streams keep
     # their batch order, and a stream of exactly one window needs the floor of 1
     starts = rng.integers(0, max(len(ids) - seq_len - 1, 1), size=batch_size)
-    x = np.stack([ids[s : s + seq_len] for s in starts])
-    y = np.stack([ids[s + 1 : s + seq_len + 1] for s in starts])
+    x = np.stack([ids[s : s + seq_len] for s in starts], dtype=np.int64)
+    y = np.stack([ids[s + 1 : s + seq_len + 1] for s in starts], dtype=np.int64)
     return x, y
 
 

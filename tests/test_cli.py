@@ -64,14 +64,16 @@ def test_train_invalid_parameters_exit_1(corpus_file, capsys):
 @pytest.mark.parametrize("command", ["train", "eval", "generate", "simulate-offload", "ablate"])
 def test_output_path_that_is_a_file_exits_1(run_dir, corpus_file, tmp_path, capsys, monkeypatch,
                                             command):
-    """The path is refused before any work: eval must not evaluate nor ablate
-    train (``pytest.fail`` is not an ``Exception``, so ablate's per-variant
-    guard cannot swallow it)."""
+    """The path is refused before any work: eval must not evaluate, generate
+    decode, simulate-offload replay nor ablate train (``pytest.fail`` is not an
+    ``Exception``, so ablate's per-variant guard cannot swallow it)."""
     def work(*args, **kwargs):
         pytest.fail("ran before the output path was made")
 
     monkeypatch.setattr("moelab.cli.evaluate", work)
     monkeypatch.setattr("moelab.trainer.train", work)
+    monkeypatch.setattr("moelab.cli.TransformerLM.generate", work)
+    monkeypatch.setattr("moelab.cli.replay_offload", work)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
     trace = tmp_path / "fixture.trace"
@@ -172,9 +174,13 @@ def test_generate_and_trace_file(run_dir, tmp_path, capsys):
     [(["--prompt", ""], "prompt must contain"), (["--prompt", "Toza", "--tokens", "0"], "n must be")],
     ids=["empty-prompt", "zero-tokens"],
 )
-def test_generate_bad_parameters_exit_1(run_dir, capsys, args, message):
-    assert main(["generate", "--checkpoint", str(run_dir / "checkpoint.npz"), *args]) == 1
+def test_generate_bad_parameters_exit_1(run_dir, tmp_path, capsys, args, message):
+    """A decode that fails leaves no trace file behind, not even an empty one."""
+    trace = tmp_path / "gen.trace"
+    assert main(["generate", "--checkpoint", str(run_dir / "checkpoint.npz"), *args,
+                 "--trace", str(trace)]) == 1
     assert message in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_simulate_offload_fixture_trace(tmp_path, capsys):

@@ -314,16 +314,52 @@ def test_forward_input_validation():
         model.forward(np.array([[3, -1]]))
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    model = TransformerLM(tiny_config(), seed=11)
+def test_checkpoint_roundtrip(tmp_path, monkeypatch):
+    """``load`` gives back every parameter bit for bit and in the config's
+    dtype, for dense and WD experts in both dtypes, and draws no random init
+    for the checkpoint to overwrite."""
+    def draw(*args, **kwargs):
+        pytest.fail("load drew a random init")
+
     tokens = np.random.default_rng(11).integers(0, 17, size=(1, 6))
-    want, _ = model.forward(tokens)
+    for kind in ("dense", "wd"):
+        for dtype in ("float32", "float64"):
+            model = TransformerLM(tiny_config(expert_kind=kind, rank=4, dtype=dtype), seed=11)
+            want, _ = model.forward(tokens)
+            path = tmp_path / f"{kind}-{dtype}.npz"
+            model.save(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", draw)  # what moelab.model calls
+                loaded = TransformerLM.load(path)
+            saved = model.named_parameters()
+            params = loaded.named_parameters()
+            assert params.keys() == saved.keys()
+            for name, p in params.items():
+                assert p.data.dtype == saved[name].data.dtype == np.dtype(dtype), name
+                assert p.data.shape == saved[name].data.shape, name
+                assert p.data.tobytes() == saved[name].data.tobytes(), name
+                assert p.data.flags.writeable, name
+            got, _ = loaded.forward(tokens)
+            assert np.array_equal(want.data, got.data)
+            assert loaded.config == model.config
+
+
+def test_checkpoint_missing_or_misshapen_parameter_rejected(tmp_path):
+    """``load`` allocates parameters without drawing them, so every one must
+    come from the file: a missing or misshapen array raises DataError."""
+    model = TransformerLM(tiny_config(), seed=11)
     path = tmp_path / "ckpt.npz"
     model.save(path)
-    loaded = TransformerLM.load(path)
-    got, _ = loaded.forward(tokens)
-    assert np.array_equal(want.data, got.data)
-    assert loaded.config == model.config
+    with np.load(path) as ckpt:
+        arrays = dict(ckpt)
+    missing = {k: v for k, v in arrays.items() if k != "param:layers.1.attn.wk"}
+    np.savez(tmp_path / "missing.npz", **missing)
+    with pytest.raises(DataError, match="missing parameter layers.1.attn.wk"):
+        TransformerLM.load(tmp_path / "missing.npz")
+    misshapen = {**arrays, "param:lm_head": arrays["param:lm_head"].T}
+    np.savez(tmp_path / "misshapen.npz", **misshapen)
+    with pytest.raises(DataError, match="parameter lm_head has shape"):
+        TransformerLM.load(tmp_path / "misshapen.npz")
 
 
 def test_checkpoint_magic_rejected(tmp_path):

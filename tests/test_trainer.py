@@ -13,6 +13,7 @@ from moelab.config import ModelConfig
 from moelab.errors import DataError
 from moelab.model import TransformerLM
 from moelab.trainer import (
+    SPLIT_BLOCK,
     Corpus,
     Optimizer,
     TrainConfig,
@@ -84,6 +85,45 @@ def test_ingest_errors(tmp_path):
     tiny.write_text("abab")
     with pytest.raises(DataError, match="too small"):
         ingest_corpus(tiny)
+
+
+def _split_reference(data: bytes, val_frac: float, seed: int):
+    """The split as a loop over ``np.array_split`` blocks, the oracle for
+    ``ingest_corpus``'s one-mask split; None where the corpus is too small."""
+    ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    n_blocks = max(1, len(ids) // SPLIT_BLOCK)
+    blocks = np.array_split(ids, n_blocks)
+    order = np.random.default_rng(seed).permutation(len(blocks))
+    n_val = max(1, int(round(val_frac * len(blocks))))
+    if n_val >= len(blocks):
+        return None
+    val_idx = set(order[:n_val].tolist())
+    train_ids = np.concatenate([b for i, b in enumerate(blocks) if i not in val_idx])
+    val_ids = np.concatenate([b for i, b in enumerate(blocks) if i in val_idx])
+    return train_ids, val_ids
+
+
+# 256 and 511 bytes are one block, too small to split, and 512 the smallest
+# corpus that splits; at val_frac 0.9, 1279 bytes (4 blocks) are too small and
+# 1280 (5 blocks) are not; 767, 1000, 4097 and 65541 leave len % n_blocks != 0
+@pytest.mark.parametrize("length", [256, 511, 512, 767, 1_000, 1_279, 1_280, 4_097, 65_541])
+@pytest.mark.parametrize("val_frac, seed", [(0.1, 0), (0.1, 7), (0.5, 3), (0.9, 1)])
+def test_ingest_split_matches_array_split_reference(tmp_path, length, val_frac, seed):
+    data = np.random.default_rng(length).integers(0, 256, size=length, dtype=np.uint8).tobytes()
+    path = tmp_path / "c.txt"
+    path.write_bytes(data)
+    want = _split_reference(data, val_frac, seed)
+    if want is None:
+        with pytest.raises(DataError, match="too small"):
+            ingest_corpus(path, val_frac, seed)
+        return
+    corpus = ingest_corpus(path, val_frac, seed)
+    for got, ref in zip((corpus.train_ids, corpus.val_ids), want):
+        assert got.dtype == np.uint8 and got.flags.writeable
+        np.testing.assert_array_equal(got, ref)
+    x, y = sample_batch(corpus.train_ids, 2, 8, np.random.default_rng(0))
+    assert x.dtype == y.dtype == np.int64
+    np.testing.assert_array_equal(x[:, 1:], y[:, :-1])
 
 
 def test_zero_learning_rate_freezes_parameters(corpus_file):
