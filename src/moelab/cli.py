@@ -17,6 +17,7 @@ from .fixtures import run_reference_checks
 from .model import TransformerLM
 from .offload_sim import OffloadCostModel, OffloadReport, read_trace, replay_offload, write_trace
 from .trainer import (
+    FIELD_TYPES,
     TrainConfig,
     configure,
     decode_ids,
@@ -38,27 +39,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# the config fields train and ablate take as flags, with any argparse extras;
+# each flag parses as its field's type
+_CONFIG_FLAGS = {"corpus": {"help": "UTF-8 text corpus path"}, "seed": {}, "steps": {},
+                 "experts": {}, "active": {}, "expert_kind": {"choices": ("dense", "wd")},
+                 "rank": {}, "lb_coef": {}, "bles_coef": {}}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="key = value config file")
-    p.add_argument("--corpus", type=str, default=None, help="UTF-8 text corpus path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--experts", type=int, default=None)
-    p.add_argument("--active", type=int, default=None)
-    p.add_argument("--expert-kind", choices=("dense", "wd"), default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--lb-coef", type=float, default=None)
-    p.add_argument("--bles-coef", type=float, default=None)
+    for key, extra in _CONFIG_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=FIELD_TYPES[key], default=None,
+                       **extra)
     p.add_argument("--out", type=str, default=None, help="output directory")
 
 
-# config fields that _add_config_flags exposes, by their argparse dest
-_FLAG_KEYS = ("corpus", "seed", "steps", "experts", "active", "expert_kind", "rank",
-              "lb_coef", "bles_coef")
-
-
 def _configs_from_args(args):
-    flags = {k: getattr(args, k) for k in _FLAG_KEYS if getattr(args, k) is not None}
+    flags = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k) is not None}
     if args.config:
         return configure(flags, *load_config_file(args.config))
     return configure({"dtype": "float32", **flags})
@@ -145,11 +142,8 @@ def cmd_ablate(args) -> int:
         print("ablate: no corpus given (use --corpus or a config file)", file=sys.stderr)
         return 1
     field = {"active": "active", "total": "experts", "bles": "bles_coef"}[args.axis]
-    cast = float if args.axis == "bles" else int
-    variants = []
-    for raw in args.values.split(","):
-        value = cast(raw)
-        variants.append((f"{args.axis}={raw}", {field: value}))
+    variants = [(f"{args.axis}={raw}", {field: FIELD_TYPES[field](raw)})
+                for raw in args.values.split(",")]
     rows = run_experiment(model_cfg, train_cfg, variants, out_dir=args.out)
     print(format_comparison(rows))
     return 0 if all(r["status"] == "ok" for r in rows) else 2

@@ -8,7 +8,7 @@ for config-file keys, CLI flags and experiment variants) runs it again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -59,3 +59,8 @@ class ModelConfig:
             raise ValueError("loss coefficients must be finite and non-negative")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
+
+
+# field name -> the type of its default: a checkpoint's JSON value must have it
+# (an int passes for a float); ``trainer.FIELD_TYPES`` adds the training fields
+MODEL_FIELDS = {f.name: type(f.default) for f in fields(ModelConfig)}

@@ -4,7 +4,8 @@ Both use the SwiGLU form down(SiLU(gate(x)) * up(x)), one ``swiglu_ffn``
 autodiff node per call. The weight-decomposed (WD) expert replaces each n x m
 projection with factors L (n x r) and R (r x m) and never materializes the
 n x m product, so its parameter and FLOP cost is r * (n + m) per projection
-instead of n * m.
+instead of n * m. Both are ``numerics.Module``s: their parameters, and the
+order in which they are named, are the projections ``__init__`` assigns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _normal(rng: np.random.Generator | None, shape, dtype: str,
     return nx.parameter(rng.normal(0.0, std, size=shape).astype(dtype))
 
 
-class DenseExpert:
+class DenseExpert(nx.Module):
     """Plain SiLU-gated FFN expert with three full projection matrices."""
 
     def __init__(
@@ -45,15 +46,8 @@ class DenseExpert:
     def forward(self, x: Tensor) -> Tensor:
         return nx.swiglu_ffn(x, (self.w_gate,), (self.w_up,), (self.w_down,))
 
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}w_gate": self.w_gate,
-            f"{prefix}w_up": self.w_up,
-            f"{prefix}w_down": self.w_down,
-        }
 
-
-class WDExpert:
+class WDExpert(nx.Module):
     """Weight-decomposed expert: every projection is a rank-r factor pair.
 
     Each projection applies as (x @ L) @ R. Factors are initialized from a
@@ -93,16 +87,6 @@ class WDExpert:
     def forward(self, x: Tensor) -> Tensor:
         return nx.swiglu_ffn(x, (self.l_gate, self.r_gate), (self.l_up, self.r_up),
                              (self.l_down, self.r_down))
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}l_gate": self.l_gate,
-            f"{prefix}r_gate": self.r_gate,
-            f"{prefix}l_up": self.l_up,
-            f"{prefix}r_up": self.r_up,
-            f"{prefix}l_down": self.l_down,
-            f"{prefix}r_down": self.r_down,
-        }
 
 
 def make_expert(config: ModelConfig, rng: np.random.Generator):

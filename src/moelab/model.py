@@ -6,18 +6,21 @@ returns the per-layer routing artifacts so losses and traces can be computed
 without re-running the model. The router consumes the same normalized hidden
 state the experts consume. Greedy decoding runs one prefill over the prompt and
 then one single-token step per position against per-layer key/value caches.
+Every part below the LM is a ``numerics.Module``, whose parameters are the
+tensors its ``__init__`` assigns; the LM lists its own and names its blocks
+``layers.i``, the checkpoint's names.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numerics as nx
-from .config import ModelConfig
+from .config import MODEL_FIELDS, ModelConfig
 from .errors import DataError
 from .experts import _normal, make_expert
 from .numerics import Tensor
@@ -66,24 +69,20 @@ def _config_from_json(path, text: str) -> ModelConfig:
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: checkpoint config is not a JSON object")
-    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     for key, value in raw.items():
-        kind = kinds.get(key)
+        kind = MODEL_FIELDS.get(key)
         if kind is None or not (type(value) is kind or kind is float and type(value) is int):
             raise DataError(f"{path}: bad checkpoint config entry {key}={value!r}")
     return ModelConfig(**raw)
 
 
-class LayerNorm:
+class LayerNorm(nx.Module):
     def __init__(self, dim: int, dtype: str):
         self.gain = nx.parameter(np.ones(dim, dtype=dtype))
         self.bias = nx.parameter(np.zeros(dim, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
         return nx.layer_norm(x, self.gain, self.bias)
-
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}gain": self.gain, f"{prefix}bias": self.bias}
 
 
 def _causal_mask(t: int, end: int, dtype) -> np.ndarray:
@@ -117,7 +116,7 @@ class KVCache:
         return self.k[:, : self.length], self.v[:, : self.length]
 
 
-class CausalAttention:
+class CausalAttention(nx.Module):
     """Standard multi-head attention with an additive causal mask."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -151,16 +150,8 @@ class CausalAttention:
         out = nx.attention(q, k, v, self.heads, 1.0 / np.sqrt(self.head_dim), mask)
         return nx.matmul(out, self.wo)
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}wq": self.wq,
-            f"{prefix}wk": self.wk,
-            f"{prefix}wv": self.wv,
-            f"{prefix}wo": self.wo,
-        }
 
-
-class MoELayer:
+class MoELayer(nx.Module):
     """Token-choice sparse FFN: route, run the selected experts, mix by gate.
 
     The (token, slot) pairs are grouped by expert with one stable sort, so
@@ -191,14 +182,8 @@ class MoELayer:
         y = nx.combine_rows(outs, selected.gate_weights, order)
         return y, logits, weights, selected
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        params = {f"{prefix}router": self.router}
-        for e, expert in enumerate(self.experts):
-            params.update(expert.named_parameters(f"{prefix}experts.{e}."))
-        return params
 
-
-class Block:
+class Block(nx.Module):
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.ln1 = LayerNorm(config.hidden, config.dtype)
         self.attn = CausalAttention(config, rng)
@@ -214,14 +199,6 @@ class Block:
         x = nx.add(x, self.attn.forward(self.ln1.forward(x), mask, cache=cache))
         ffn, logits, weights, selected = self.moe.forward(self.ln2.forward(x))
         return nx.add(x, ffn), (logits, weights, selected)
-
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        params.update(self.ln1.named_parameters(f"{prefix}ln1."))
-        params.update(self.attn.named_parameters(f"{prefix}attn."))
-        params.update(self.ln2.named_parameters(f"{prefix}ln2."))
-        params.update(self.moe.named_parameters(f"{prefix}moe."))
-        return params
 
 
 LayerArtifacts = tuple[Tensor, RoutingWeights, SelectedExperts]  # router logits first
@@ -316,6 +293,7 @@ class TransformerLM:
         return tokens, trace
 
     def named_parameters(self) -> dict[str, Tensor]:
+        """Listed, not walked: the checkpoint names ``self.blocks`` ``layers.i``."""
         params: dict[str, Tensor] = {"wte": self.wte, "wpe": self.wpe}
         for i, block in enumerate(self.blocks):
             params.update(block.named_parameters(f"layers.{i}."))

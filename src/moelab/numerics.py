@@ -33,6 +33,9 @@ bits.
 
 Double precision is the default and is required for the finite-difference
 checks; single precision is accepted for the training path.
+
+``Module`` is the base of the model's parts: a part's parameters are the
+tensors its ``__init__`` assigns, named and ordered by the assignments.
 """
 
 from __future__ import annotations
@@ -477,6 +480,32 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def parameter(data) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True)
+
+
+class Module:
+    """A model part whose parameters are the tensors its ``__init__`` assigns.
+
+    ``named_parameters`` walks ``vars(self)`` in assignment order: a
+    ``Tensor`` attribute is named ``prefix + attr``, a ``Module`` attribute
+    contributes its own parameters under ``attr.``, and a list of modules
+    those of item i under ``attr.i.``; any other attribute is not a
+    parameter. The walk's order is the order in which the optimizer steps the
+    parameters and ``global_grad_norm`` sums their squares, so it decides the
+    bits of training; the names key the checkpoint's arrays.
+    """
+
+    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        params: dict[str, Tensor] = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                params[prefix + attr] = value
+            elif isinstance(value, Module):
+                params.update(value.named_parameters(f"{prefix}{attr}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        params.update(item.named_parameters(f"{prefix}{attr}.{i}."))
+        return params
 
 
 def finite_difference_grad(

@@ -261,21 +261,16 @@ def synthetic_trace(
             f"{exrep_pct}% ExRep needs {per_transition} replacements in one transition, "
             f"but only {num_experts - k} experts are inactive"
         )
+    # each event swaps the oldest resident for the next outsider, which turns
+    # the expert ring 0..E-1 by one: after c events the residents are (c + j) % E
     sel = np.empty((layers, tokens, k), dtype=np.int64)
     for l in range(layers):
         base, rem = divmod(events, tokens - 1)
         slot_counts = np.full(tokens - 1, base, dtype=np.int64)
         if rem:
             slot_counts[rng.choice(tokens - 1, size=rem, replace=False)] += 1
-        residents = list(range(k))
-        outsiders = list(range(k, num_experts))
-        sel[l, 0] = sorted(residents)
-        for t in range(1, tokens):
-            for _ in range(slot_counts[t - 1]):
-                incoming = outsiders.pop(0)
-                outsiders.append(residents.pop(0))
-                residents.append(incoming)
-            sel[l, t] = sorted(residents)
+        shift = np.concatenate([[0], np.cumsum(slot_counts)])
+        sel[l] = np.sort((shift[:, None] + np.arange(k)) % num_experts, axis=1)
     return RoutingTrace(selections=sel, num_experts=num_experts)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from . import numerics as nx
-from .config import ModelConfig
+from .config import MODEL_FIELDS, ModelConfig
 from .errors import DataError
 from .experts import per_expert_param_count, shared_param_count
 from .losses import bles_loss, load_balance_loss, total_loss
@@ -82,18 +82,19 @@ class TrainConfig:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
-# field name -> annotation ("int", "float" or "str")
-_MODEL_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
-_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+# every config field and the type of its default (seq_len, a field of both, is
+# an int in both): config-file text, flags and ablate values are parsed to it
+_TRAIN_FIELDS = {f.name: type(f.default) for f in fields(TrainConfig)}
+FIELD_TYPES = {**MODEL_FIELDS, **_TRAIN_FIELDS}
 
 
 def _split_overrides(overrides: dict) -> tuple[dict, dict]:
     """Send each key to the config that has the field (``seq_len`` to both);
     an unknown key raises ValueError."""
-    unknown = overrides.keys() - _MODEL_FIELDS.keys() - _TRAIN_FIELDS.keys()
+    unknown = overrides.keys() - FIELD_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown override {min(unknown)!r}")
-    return ({k: v for k, v in overrides.items() if k in _MODEL_FIELDS},
+    return ({k: v for k, v in overrides.items() if k in MODEL_FIELDS},
             {k: v for k, v in overrides.items() if k in _TRAIN_FIELDS})
 
 
@@ -128,11 +129,11 @@ def load_config_file(path) -> tuple[ModelConfig, TrainConfig]:
         if "=" not in line:
             raise DataError(f"{path}: line {i}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        hint = _MODEL_FIELDS.get(key, _TRAIN_FIELDS.get(key))
-        if hint is None:
+        kind = FIELD_TYPES.get(key)
+        if kind is None:
             raise DataError(f"{path}: line {i}: unknown key {key!r}")
         try:
-            values[key] = {"int": int, "float": float}.get(hint, str)(value)
+            values[key] = kind(value)
         except ValueError as exc:
             raise DataError(f"{path}: line {i}: bad value for {key} ({exc})") from exc
     try:
@@ -428,13 +429,19 @@ def train(
     quiet: bool = False,
 ) -> tuple[TransformerLM, dict, list[dict]]:
     """Full training run; returns (model, final eval metrics, metrics history).
-    Unless ``quiet``, prints a progress line every 100 steps and at the end."""
+    Unless ``quiet``, prints a progress line every 100 steps and at the end.
+    A corpus split shorter than one window raises DataError before step 0."""
     if corpus is None:
         corpus = ingest_corpus(train_cfg.corpus, train_cfg.val_frac, train_cfg.seed)
     if train_cfg.seq_len > model_cfg.seq_len:
         raise ValueError(
             f"train seq_len={train_cfg.seq_len} exceeds model seq_len={model_cfg.seq_len}"
         )
+    window = train_cfg.seq_len + 1  # what sample_batch needs of a split
+    for split, ids in (("train", corpus.train_ids), ("val", corpus.val_ids)):
+        if len(ids) < window:
+            raise DataError(f"{train_cfg.corpus}: {split} split of {len(ids)} tokens is too "
+                            f"short for seq_len={train_cfg.seq_len} (a window takes {window})")
     model = TransformerLM(model_cfg, seed=train_cfg.seed)
     optimizer = Optimizer(model, train_cfg)
     batch_rng = np.random.default_rng(train_cfg.seed + 1)

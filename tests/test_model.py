@@ -381,3 +381,33 @@ def test_named_parameters_cover_all_tensors():
 
     _, want_total = expert_param_count(model.config)
     assert total == want_total
+
+
+def test_named_parameters_keep_their_names_and_order():
+    """The names and the order the model has always had: the order decides the
+    bits of the optimizer step and the gradient norm, and the names key the
+    checkpoint's arrays."""
+    block = ["ln1.gain", "ln1.bias", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+             "ln2.gain", "ln2.bias", "moe.router"]
+    experts = {"dense": ["w_gate", "w_up", "w_down"],
+               "wd": ["l_gate", "r_gate", "l_up", "r_up", "l_down", "r_down"]}
+    for kind, expert in experts.items():
+        model = TransformerLM(tiny_config(experts=2, active=1, expert_kind=kind, rank=4))
+        want = ["wte", "wpe"]
+        for i in range(2):
+            want += [f"layers.{i}.{name}" for name in block]
+            want += [f"layers.{i}.moe.experts.{e}.{name}" for e in range(2) for name in expert]
+        want += ["ln_f.gain", "ln_f.bias", "lm_head"]
+        assert list(model.named_parameters()) == want
+
+
+def test_a_parameter_assigned_later_is_named_by_its_attribute():
+    """A module's parameters are the tensors assigned to it, in assignment
+    order, with no second list to keep in step."""
+    model = TransformerLM(tiny_config(), seed=0)
+    extra = nx.parameter(np.zeros(3))
+    model.blocks[0].ln1.extra = extra
+    params = model.named_parameters()
+    names = list(params)
+    assert names[names.index("layers.0.ln1.bias") + 1] == "layers.0.ln1.extra"
+    assert params["layers.0.ln1.extra"] is extra

@@ -272,6 +272,23 @@ def test_run_experiment_rejects_unknown_override(tmp_path, corpus_file):
     assert not (tmp_path / "exp").exists()  # rejected before any variant trained
 
 
+def test_a_split_shorter_than_one_window_fails_before_step_0(tmp_path, monkeypatch):
+    """811 bytes split into about 541 train and 270 validation bytes. A window
+    of seq_len + 1 that the validation split, or both splits, cannot hold is
+    refused before any step runs, naming the corpus and the split; an
+    experiment variant that lengthens the window is refused the same way."""
+    path = tmp_path / "small.txt"
+    synthesize_corpus(path, 811, seed=1)
+    monkeypatch.setattr("moelab.trainer.train_step", lambda *args: pytest.fail("a step ran"))
+    for seq_len, split in ((300, "val"), (600, "train")):
+        with pytest.raises(DataError, match=f"small.txt: {split} split of \\d+ tokens"):
+            train(small_model_cfg(seq_len=seq_len), small_train_cfg(path, seq_len=seq_len),
+                  quiet=True)
+    rows = run_experiment(small_model_cfg(seq_len=300), small_train_cfg(path, seq_len=16),
+                          [("long", {"seq_len": 300})])
+    assert "small.txt: val split of" in rows[0]["status"]
+
+
 def test_configs_are_frozen():
     for cfg, field in ((small_model_cfg(), "experts"), (TrainConfig(), "steps")):
         with pytest.raises(dataclasses.FrozenInstanceError):
